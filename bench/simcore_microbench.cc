@@ -42,6 +42,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "fence/bypass_set.hh"
 #include "harness/report.hh"
@@ -259,25 +260,33 @@ timeWorkload(Kernel kernel, unsigned cores, Mode mode, int64_t iters,
  * per simulated cycle, so sampling and hot-line bookkeeping have the
  * least useful work to hide behind) with the observatory fully off
  * versus interval sampling at ~10k intervals plus hot-line tracking.
- * Overhead is measured on process CPU time (best of `reps`; wall-clock
- * on a shared host swings tens of percent on runs this size, drowning
- * a single-digit effect) and the neutral stats dumps must be
+ * Overhead is measured on process CPU time (wall-clock on a shared
+ * host swings tens of percent on runs this size, drowning a
+ * single-digit effect), as the median over `reps` back-to-back off/on
+ * pairs of each pair's on/off ratio: both runs of a pair see the same
+ * slow or fast spell of a shared host, which a best-of-N over each
+ * side separately does not cancel. The neutral stats dumps must be
  * byte-identical — observation only, enforced here too.
  */
 struct ObsOverhead
 {
     Tick intervalCycles = 0;
     uint64_t samplesTaken = 0;
-    double secondsOff = 0;
-    double secondsOn = 0;
+    double secondsOff = 0; ///< median over the pairs
+    double secondsOn = 0;  ///< median over the pairs
+    double ratio = 1.0;    ///< median of the pairs' on/off ratios
     bool identical = false;
 
-    double overheadPct() const
-    {
-        return secondsOff > 0
-                   ? (secondsOn / secondsOff - 1.0) * 100.0 : 0.0;
-    }
+    double overheadPct() const { return (ratio - 1.0) * 100.0; }
 };
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    size_t n = v.size();
+    return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
 
 ObsOverhead
 measureObservatory(int64_t iters, int reps)
@@ -297,6 +306,7 @@ measureObservatory(int64_t iters, int reps)
     ObsOverhead o;
     o.intervalCycles = std::max<Tick>(1, probe.simCycles / 10'000);
     o.identical = true;
+    std::vector<double> offs, ons, ratios;
     HostRun on_last;
     for (int i = 0; i < reps; i++) {
         HostRun off = timeWorkload(Kernel::BusySpin, cores, mode,
@@ -304,12 +314,14 @@ measureObservatory(int64_t iters, int reps)
         HostRun on = timeWorkload(Kernel::BusySpin, cores, mode, iters,
                                   o.intervalCycles, true, true);
         o.identical = o.identical && on.statsJson == off.statsJson;
-        o.secondsOff = i ? std::min(o.secondsOff, off.cpuSeconds)
-                         : off.cpuSeconds;
-        o.secondsOn = i ? std::min(o.secondsOn, on.cpuSeconds)
-                        : on.cpuSeconds;
+        offs.push_back(off.cpuSeconds);
+        ons.push_back(on.cpuSeconds);
+        ratios.push_back(on.cpuSeconds / off.cpuSeconds);
         on_last = on;
     }
+    o.secondsOff = median(offs);
+    o.secondsOn = median(ons);
+    o.ratio = median(ratios);
     o.samplesTaken = on_last.samplesTaken;
     return o;
 }
@@ -410,8 +422,8 @@ writeReport(const std::string &path, bool quick,
 
     // Full-length runs even under --quick: the measured effect is a
     // few percent, so the ~45ms quick-sized runs would be dominated by
-    // host noise (best-of-N helps the floor, not a noisy numerator).
-    ObsOverhead obs = measureObservatory(100'000, 5);
+    // host noise.
+    ObsOverhead obs = measureObservatory(100'000, 11);
     if (!obs.identical)
         fatal("observatory changed simulated results");
     w.key("observatory").beginObject();

@@ -1,8 +1,10 @@
 #include "analysis/minimize.hh"
 
 #include <algorithm>
+#include <sstream>
 
 #include "harness/report.hh"
+#include "service/json.hh"
 #include "sim/logging.hh"
 
 namespace asf::analysis
@@ -20,9 +22,20 @@ struct Site
     double weight;
 };
 
+/** The run matrix's designs: all five when none are named. */
+std::vector<FenceDesign>
+matrixDesigns(const MinimizeOptions &opt)
+{
+    if (!opt.designs.empty())
+        return opt.designs;
+    return {std::begin(allFenceDesigns), std::end(allFenceDesigns)};
+}
+
+} // namespace
+
 std::vector<std::shared_ptr<const Program>>
-materialize(const std::vector<std::shared_ptr<const Program>> &input,
-            const std::vector<std::vector<FenceInsertion>> &placement)
+applyPlacement(const std::vector<std::shared_ptr<const Program>> &input,
+               const Placement &placement)
 {
     std::vector<std::shared_ptr<const Program>> out(input.size());
     for (size_t t = 0; t < input.size(); t++) {
@@ -34,8 +47,6 @@ materialize(const std::vector<std::shared_ptr<const Program>> &input,
     return out;
 }
 
-} // namespace
-
 MinimizeResult
 minimize(const SynthResult &synth, const MinimizeOptions &opt)
 {
@@ -43,20 +54,17 @@ minimize(const SynthResult &synth, const MinimizeOptions &opt)
         !opt.invariant)
         fatal("minimize: TsoPlusInvariant needs an invariant");
 
-    std::vector<FenceDesign> designs = opt.designs;
-    if (designs.empty())
-        designs.assign(allFenceDesigns, allFenceDesigns + 5);
+    std::vector<FenceDesign> designs = matrixDesigns(opt);
 
     MinimizeResult res;
     res.insertions = synth.insertions;
 
     // One checked run of the current working placement; fills
     // evidence fields on conviction.
-    auto convicts = [&](const std::vector<std::vector<FenceInsertion>>
-                            &placement,
+    auto convicts = [&](const Placement &placement,
                         FenceDesign &ev_design, uint64_t &ev_seed,
                         std::string &ev_what) {
-        auto progs = materialize(synth.input, placement);
+        auto progs = applyPlacement(synth.input, placement);
         for (FenceDesign d : designs) {
             for (uint64_t seed : opt.seeds) {
                 check::BatchRunSpec spec;
@@ -152,7 +160,7 @@ minimize(const SynthResult &synth, const MinimizeOptions &opt)
         }
     }
 
-    res.fenced = materialize(synth.input, res.insertions);
+    res.fenced = applyPlacement(synth.input, res.insertions);
     {
         FenceDesign fd;
         uint64_t fs;
@@ -198,6 +206,104 @@ writeMinimizeJson(const MinimizeResult &res, std::ostream &os)
     w.endArray();
     w.endObject();
     os << '\n';
+}
+
+std::string
+minimizeInputText(const Placement &synthesized, const MinimizeOptions &opt)
+{
+    std::ostringstream os;
+    os << "threads " << synthesized.size() << '\n';
+    for (size_t t = 0; t < synthesized.size(); t++)
+        for (const FenceInsertion &f : synthesized[t])
+            os << "fence " << t << ' ' << f.beforePc << ' '
+               << fenceRoleName(f.role) << '\n';
+    os << "property "
+       << (opt.property == MinimizeProperty::ScEquivalence
+               ? "ScEquivalence"
+               : "TsoPlusInvariant")
+       << "\ndesigns";
+    for (FenceDesign d : matrixDesigns(opt))
+        os << ' ' << fenceDesignName(d);
+    os << "\nseeds";
+    for (uint64_t seed : opt.seeds)
+        os << ' ' << seed;
+    os << "\ncores " << opt.cores << "\nmaxCycles " << opt.maxCycles
+       << "\nwatchdogCycles " << opt.watchdogCycles << "\ntryWeaken "
+       << opt.tryWeaken << '\n';
+    return os.str();
+}
+
+void
+writePlacement(harness::JsonWriter &w, const Placement &p)
+{
+    w.beginArray();
+    for (size_t t = 0; t < p.size(); t++) {
+        for (const FenceInsertion &f : p[t]) {
+            w.beginObject();
+            w.field("thread", uint64_t(t));
+            w.field("beforePc", f.beforePc);
+            w.field("role", fenceRoleName(f.role));
+            w.endObject();
+        }
+    }
+    w.endArray();
+}
+
+bool
+readPlacement(const service::JsonValue &v, const SynthResult &synth,
+              Placement &out, std::string &error)
+{
+    if (!v.isArray()) {
+        error = "placement is not an array";
+        return false;
+    }
+    // Non-integers and negatives read as out of range.
+    auto index = [](const service::JsonValue &x) {
+        return x.kind() == service::JsonValue::Kind::Int
+                   ? x.asU64(UINT64_MAX)
+                   : UINT64_MAX;
+    };
+    out.assign(synth.input.size(), {});
+    for (const service::JsonValue &e : v.items()) {
+        uint64_t t = index(e["thread"]);
+        uint64_t pc = index(e["beforePc"]);
+        const std::string &role = e["role"].asString();
+        bool critical = role == fenceRoleName(FenceRole::Critical);
+        if (t >= synth.input.size()) {
+            error = format("thread %llu beyond the %zu threads",
+                           (unsigned long long)t, synth.input.size());
+            return false;
+        }
+        if (pc >= synth.input[t]->size()) {
+            error = format("beforePc %llu past the end of thread %llu "
+                           "(%zu instrs)",
+                           (unsigned long long)pc, (unsigned long long)t,
+                           synth.input[t]->size());
+            return false;
+        }
+        if (!critical && role != fenceRoleName(FenceRole::Noncritical)) {
+            error = format("unknown fence role '%s'", role.c_str());
+            return false;
+        }
+        const auto &sites = synth.insertions[t];
+        if (std::none_of(sites.begin(), sites.end(),
+                         [&](const FenceInsertion &f) {
+                             return f.beforePc == pc;
+                         })) {
+            error = format("thread %llu pc %llu is not a synthesized "
+                           "fence site",
+                           (unsigned long long)t, (unsigned long long)pc);
+            return false;
+        }
+        if (!out[t].empty() && out[t].back().beforePc >= pc) {
+            error = format("thread %llu fences out of pc order",
+                           (unsigned long long)t);
+            return false;
+        }
+        out[t].push_back(
+            {pc, critical ? FenceRole::Critical : FenceRole::Noncritical});
+    }
+    return true;
 }
 
 } // namespace asf::analysis

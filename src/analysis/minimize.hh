@@ -38,6 +38,16 @@
 #include "analysis/synth.hh"
 #include "check/batch.hh"
 
+namespace asf::harness
+{
+class JsonWriter;
+}
+
+namespace asf::service
+{
+class JsonValue;
+}
+
 namespace asf::analysis
 {
 
@@ -47,6 +57,8 @@ enum class MinimizeProperty
     TsoPlusInvariant,
 };
 
+/** A new plain field must also go into minimizeInputText, or stored
+ *  placements minimized under different values would alias. */
 struct MinimizeOptions
 {
     MinimizeProperty property = MinimizeProperty::ScEquivalence;
@@ -88,7 +100,7 @@ struct MinimizeDecision
 struct MinimizeResult
 {
     /** Final per-thread placements (subset of the synth input). */
-    std::vector<std::vector<FenceInsertion>> insertions;
+    Placement insertions;
     /** Input programs with the final placements spliced in. */
     std::vector<std::shared_ptr<const Program>> fenced;
     std::vector<MinimizeDecision> decisions;
@@ -107,6 +119,36 @@ MinimizeResult minimize(const SynthResult &synth,
 
 /** Append the minimization story to a placement report stream. */
 void writeMinimizeJson(const MinimizeResult &res, std::ostream &os);
+
+/** `input` with `placement` spliced in; a thread without fences keeps
+ *  its input program (how MinimizeResult::fenced is built). */
+std::vector<std::shared_ptr<const Program>>
+applyPlacement(const std::vector<std::shared_ptr<const Program>> &input,
+               const Placement &placement);
+
+/**
+ * Everything but the programs and hooks that decides minimize()'s
+ * placement: the synthesized insertions and every plain
+ * MinimizeOptions field, one `name value` line each. A stored
+ * placement is keyed by it (service/result_cache.hh). The matrix's
+ * designs are listed even when `opt.designs` is empty, so "all five"
+ * has one spelling.
+ */
+std::string minimizeInputText(const Placement &synthesized,
+                              const MinimizeOptions &opt);
+
+/** Write a placement as a JSON array of {thread, beforePc, role}. */
+void writePlacement(harness::JsonWriter &w, const Placement &p);
+
+/**
+ * Read what writePlacement wrote as a minimized placement of `synth`.
+ * False, with `error`, unless every entry is well formed, its thread
+ * and beforePc are in range for synth.input, each thread's fences are
+ * in increasing pc order, and each sits on a synthesized site (the
+ * minimizer only drops or weakens those).
+ */
+bool readPlacement(const service::JsonValue &v, const SynthResult &synth,
+                   Placement &out, std::string &error);
 
 } // namespace asf::analysis
 

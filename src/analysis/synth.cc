@@ -215,9 +215,7 @@ writePlacementJson(const SynthResult &res, std::ostream &os)
             w.beginObject();
             w.field("beforePc", f.beforePc);
             w.field("before", res.input[t]->at(f.beforePc).toString());
-            w.field("role", f.role == FenceRole::Critical
-                                ? "critical"
-                                : "noncritical");
+            w.field("role", fenceRoleName(f.role));
             w.endObject();
         }
         w.endArray();
@@ -225,9 +223,7 @@ writePlacementJson(const SynthResult &res, std::ostream &os)
         for (const OmittedFence &f : res.input[t]->omittedFences) {
             w.beginObject();
             w.field("beforePc", f.beforePc);
-            w.field("role", f.role == FenceRole::Critical
-                                ? "critical"
-                                : "noncritical");
+            w.field("role", fenceRoleName(f.role));
             w.endObject();
         }
         w.endArray();
@@ -263,8 +259,7 @@ writePlacementJson(const SynthResult &res, std::ostream &os)
         w.beginObject();
         w.field("thread", f.thread);
         w.field("beforePc", f.beforePc);
-        w.field("role", f.role == FenceRole::Critical ? "critical"
-                                                      : "noncritical");
+        w.field("role", fenceRoleName(f.role));
         w.field("weight", f.weight);
         w.key("covers").beginArray();
         for (size_t i : f.covers)

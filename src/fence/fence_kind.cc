@@ -56,8 +56,8 @@ fenceKindName(FenceKind k)
     return "?";
 }
 
-FenceDesign
-parseFenceDesign(const std::string &name)
+std::optional<FenceDesign>
+tryParseFenceDesign(const std::string &name)
 {
     std::string s;
     s.reserve(name.size());
@@ -73,6 +73,14 @@ parseFenceDesign(const std::string &name)
         return FenceDesign::WPlus;
     if (s == "wee" || s == "weefence")
         return FenceDesign::Wee;
+    return std::nullopt;
+}
+
+FenceDesign
+parseFenceDesign(const std::string &name)
+{
+    if (auto d = tryParseFenceDesign(name))
+        return *d;
     fatal("unknown fence design '%s'", name.c_str());
 }
 

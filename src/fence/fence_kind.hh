@@ -16,6 +16,7 @@
 #ifndef ASF_FENCE_FENCE_KIND_HH
 #define ASF_FENCE_FENCE_KIND_HH
 
+#include <optional>
 #include <string>
 
 #include "prog/instr.hh"
@@ -47,7 +48,11 @@ FenceKind resolveFenceKind(FenceDesign design, FenceRole role);
 const char *fenceDesignName(FenceDesign d);
 const char *fenceKindName(FenceKind k);
 
-/** Parse "S+", "WS+", "SW+", "W+", "Wee" (case-insensitive). */
+/** Parse "S+", "WS+", "SW+", "W+", "Wee" (case-insensitive, plus the
+ *  long forms "splus" ... "weefence"); nullopt for anything else. */
+std::optional<FenceDesign> tryParseFenceDesign(const std::string &name);
+
+/** tryParseFenceDesign for CLI input: fatal() on an unknown name. */
 FenceDesign parseFenceDesign(const std::string &name);
 
 /** All five designs, in the paper's presentation order. */

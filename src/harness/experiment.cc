@@ -743,9 +743,19 @@ runSynthExperiment(const std::string &kit, FenceDesign design,
     analysis::SynthResult synth = analysis::synthesize(entry.threads);
     std::vector<std::shared_ptr<const Program>> progs = synth.fenced;
     if (minimize_placement) {
-        analysis::MinimizeResult min =
-            analysis::minimize(synth, entry.minimizeOptions());
-        progs = min.fenced;
+        analysis::MinimizeOptions mopt = entry.minimizeOptions();
+        auto compute = [&] {
+            return analysis::minimize(synth, mopt).insertions;
+        };
+        // The minimizer never reads `design`, so an eligible run shares
+        // the kit's placement with the other designs' jobs.
+        Placement placed =
+            cf.eligible
+                ? cf.cache->placement(service::makePlacementKey(
+                                          kit, synth.insertions, mopt),
+                                      synth, compute)
+                : compute();
+        progs = analysis::applyPlacement(synth.input, placed);
     }
 
     System sys(cfg);

@@ -107,7 +107,9 @@ ExperimentResult runStampExperiment(const workloads::StampApp &app,
  * `design` with execution checking forced on. `valid` requires the run
  * to finish, the axiomatic checker to pass (full SC for
  * ScEquivalence-mode kits), and the kit's functional invariant to
- * hold. `max_cycles = 0` uses the kit's own budget.
+ * hold. `max_cycles = 0` uses the kit's own budget. A cache-eligible
+ * run (see the result cache) takes the minimized placement from the
+ * bound cache, so the kit is minimized once for all five designs.
  */
 ExperimentResult runSynthExperiment(const std::string &kit,
                                     FenceDesign design,

@@ -6,6 +6,7 @@
 #include "harness/report.hh"
 #include "service/config_key.hh"
 #include "sim/logging.hh"
+#include "sim/trace.hh"
 #include "sys/config.hh"
 
 namespace asf::harness
@@ -23,29 +24,6 @@ heartbeatPathRef()
 
 thread_local SweepHeartbeat *activeHb = nullptr;
 thread_local size_t activeHbJob = 0;
-
-/** JSON string escaping for labels/status (they may carry quotes from
- *  validation errors). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (uint8_t(c) < 0x20)
-                out += format("\\u%04x", unsigned(uint8_t(c)));
-            else
-                out += c;
-        }
-    }
-    return out;
-}
 
 } // namespace
 

@@ -43,6 +43,12 @@ Instr::isControl() const
 }
 
 const char *
+fenceRoleName(FenceRole role)
+{
+    return role == FenceRole::Critical ? "critical" : "noncritical";
+}
+
+const char *
 opName(Op op)
 {
     switch (op) {

@@ -100,6 +100,9 @@ struct Instr
 /** Mnemonic of an opcode. */
 const char *opName(Op op);
 
+/** "critical" / "noncritical", as placement reports spell roles. */
+const char *fenceRoleName(FenceRole role);
+
 /**
  * A fence site a builder deliberately left out (Assembler fence
  * suppression): the hand-placed ground truth an unfenced synthesis

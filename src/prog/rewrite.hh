@@ -30,6 +30,9 @@ struct FenceInsertion
     bool operator==(const FenceInsertion &) const = default;
 };
 
+/** A multi-threaded program's fences: one insertion list per thread. */
+using Placement = std::vector<std::vector<FenceInsertion>>;
+
 /**
  * Return a copy of `p` with a Fence spliced in before each requested
  * pc (duplicates at the same position collapse to one fence, keeping

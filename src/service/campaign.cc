@@ -374,6 +374,8 @@ runCampaign(const Campaign &c, const RunOptions &opt)
     stats.claimedElsewhere = busy.load();
     stats.failures = failures.load();
     stats.aborted = aborted.load();
+    stats.placementsComputed = cache.placementsComputed();
+    stats.placementsReused = cache.placementsReused();
     return stats;
 }
 

@@ -86,6 +86,10 @@ struct RunStats
     size_t claimedElsewhere = 0; ///< another live worker held the claim
     size_t failures = 0;    ///< executed but result not valid
     bool aborted = false;   ///< stopped by abortAfter
+    /** Synth placements minimized by this run's jobs, and served from
+     *  the cache instead (ResultCache::placementsComputed/Reused). */
+    size_t placementsComputed = 0;
+    size_t placementsReused = 0;
 };
 
 /** Drain the campaign's incomplete jobs (this shard's slice). */

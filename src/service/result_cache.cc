@@ -11,6 +11,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "analysis/minimize.hh"
 #include "fence/fence_kind.hh"
 #include "harness/report.hh"
 #include "service/fsio.hh"
@@ -76,7 +77,10 @@ readResultJson(const JsonValue &v, harness::ExperimentResult &r)
     if (!v.isObject())
         return false;
     r.workload = v["workload"].asString();
-    r.design = parseFenceDesign(v["design"].asString());
+    auto design = tryParseFenceDesign(v["design"].asString());
+    if (!design)
+        return false;
+    r.design = *design;
     r.cores = unsigned(v["cores"].asU64());
     r.cycles = Tick(v["cycles"].asU64());
     r.tasks = v["tasks"].asU64();
@@ -114,6 +118,21 @@ readResultJson(const JsonValue &v, harness::ExperimentResult &r)
 }
 
 } // namespace
+
+ConfigKey
+makePlacementKey(const std::string &kit,
+                 const Placement &synthesized,
+                 const analysis::MinimizeOptions &opt)
+{
+    ConfigKey key;
+    key.canonical =
+        format("asf-placement-key %u\nfingerprint %s\nkit %s\n",
+               kPlacementSchemaVersion, binaryFingerprint().c_str(),
+               kit.c_str()) +
+        analysis::minimizeInputText(synthesized, opt);
+    key.digest = sha256Hex(key.canonical);
+    return key;
+}
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
 {
@@ -202,6 +221,108 @@ ResultCache::store(const ConfigKey &key,
     atomicWrite(objectPath(key.digest, ".manifest.json"), os.str());
 }
 
+Placement
+ResultCache::placement(const ConfigKey &key,
+                       const analysis::SynthResult &synth,
+                       const std::function<Placement()> &compute)
+{
+    std::shared_ptr<Flight> flight;
+    {
+        std::unique_lock<std::mutex> lock(flightsMu_);
+        // Another caller is filing this placement: wait for it instead
+        // of minimizing the same kit twice. If it threw, the first
+        // waiter to wake up takes the computation over.
+        for (auto it = flights_.find(key.digest); it != flights_.end();
+             it = flights_.find(key.digest)) {
+            std::shared_ptr<Flight> other = it->second;
+            flightLanded_.wait(lock, [&] { return other->landed; });
+            if (other->placement) {
+                placementsReused_++;
+                return *other->placement;
+            }
+        }
+        flight = std::make_shared<Flight>();
+        flights_.emplace(key.digest, flight);
+    }
+    // Land the flight on every way out, a throwing compute() included,
+    // so no waiter hangs.
+    struct Landing
+    {
+        ResultCache &cache;
+        const std::string &digest;
+        Flight &flight;
+
+        ~Landing()
+        {
+            std::lock_guard<std::mutex> lock(cache.flightsMu_);
+            flight.landed = true;
+            cache.flights_.erase(digest);
+            cache.flightLanded_.notify_all();
+        }
+    } landing{*this, key.digest, *flight};
+
+    flight->placement = lookupPlacement(key, synth);
+    if (flight->placement) {
+        placementsReused_++;
+    } else {
+        flight->placement = compute();
+        placementsComputed_++;
+        storePlacement(key, *flight->placement);
+    }
+    return *flight->placement;
+}
+
+std::optional<Placement>
+ResultCache::lookupPlacement(const ConfigKey &key,
+                             const analysis::SynthResult &synth) const
+{
+    auto bytes = readFile(objectPath(key.digest, ".placement.json"));
+    if (!bytes)
+        return std::nullopt;
+    JsonValue m;
+    std::string error;
+    Placement p;
+    auto valid = [&] {
+        if (!parseJson(*bytes, m, error))
+            return false;
+        if (m["schemaVersion"].asU64() != kPlacementSchemaVersion)
+            error = "schema version differs";
+        else if (m["digest"].asString() != key.digest)
+            error = "digest differs";
+        else if (m["canonical"].asString() != key.canonical)
+            error = "canonical key text differs";
+        else if (m["fingerprint"].asString() != binaryFingerprint())
+            error = "fingerprint differs";
+        else
+            return analysis::readPlacement(m["fences"], synth, p, error);
+        return false;
+    };
+    if (valid())
+        return p;
+    warn("cache: placement %s is malformed (%s); recomputing it",
+         key.shortDigest().c_str(), error.c_str());
+    return std::nullopt;
+}
+
+void
+ResultCache::storePlacement(const ConfigKey &key, const Placement &p)
+{
+    std::ostringstream os;
+    {
+        harness::JsonWriter w(os);
+        w.beginObject();
+        w.field("schemaVersion", kPlacementSchemaVersion);
+        w.field("digest", key.digest);
+        w.field("fingerprint", binaryFingerprint());
+        w.field("producedAt", uint64_t(::time(nullptr)));
+        w.field("canonical", key.canonical);
+        w.key("fences");
+        analysis::writePlacement(w, p);
+        w.endObject();
+    }
+    atomicWrite(objectPath(key.digest, ".placement.json"), os.str());
+}
+
 std::optional<std::string>
 ResultCache::loadDoc(const std::string &digest) const
 {
@@ -223,17 +344,17 @@ ResultCache::gc(const GcOptions &opt)
         return sec ? 0 : uint64_t(n);
     };
 
-    std::vector<fs::path> manifests, docs, tmps;
+    std::vector<fs::path> manifests, docs, placements, tmps;
     for (const auto &entry : fs::directory_iterator(objects, ec)) {
         std::string name = entry.path().filename().string();
         if (name.find(".tmp.") != std::string::npos)
             tmps.push_back(entry.path());
-        else if (name.size() > 14 &&
-                 name.rfind(".manifest.json") == name.size() - 14)
+        else if (name.ends_with(".manifest.json"))
             manifests.push_back(entry.path());
-        else if (name.size() > 9 &&
-                 name.rfind(".doc.json") == name.size() - 9)
+        else if (name.ends_with(".doc.json"))
             docs.push_back(entry.path());
+        else if (name.ends_with(".placement.json"))
+            placements.push_back(entry.path());
     }
 
     // Abandoned temp files are always garbage.
@@ -243,30 +364,28 @@ ResultCache::gc(const GcOptions &opt)
         fs::remove(t, ec);
     }
 
+    // Manifests and placements both record their producer and age.
+    auto expired = [&](const fs::path &p) {
+        auto bytes = readFile(p);
+        JsonValue m;
+        std::string error;
+        if (!bytes || !parseJson(*bytes, m, error))
+            return true; // unreadable: a useless entry
+        return (opt.currentFingerprintOnly &&
+                m["fingerprint"].asString() != fp) ||
+               (opt.maxAgeDays > 0.0 &&
+                now - m["producedAt"].asDouble() >
+                    opt.maxAgeDays * 86400.0);
+    };
+
     std::vector<std::string> kept_digests;
     for (const auto &mp : manifests) {
         stats.scanned++;
         std::string digest = mp.filename().string();
         digest.resize(digest.size() - 14);
         fs::path dp = objects / (digest + ".doc.json");
-
-        bool drop = false;
-        auto bytes = readFile(mp);
-        JsonValue m;
-        std::string error;
-        if (!bytes || !parseJson(*bytes, m, error)) {
-            drop = true; // unreadable manifest: useless entry
-        } else {
-            if (opt.currentFingerprintOnly &&
-                m["fingerprint"].asString() != fp)
-                drop = true;
-            if (opt.maxAgeDays > 0.0 &&
-                now - m["producedAt"].asDouble() >
-                    opt.maxAgeDays * 86400.0)
-                drop = true;
-        }
         uint64_t entry_bytes = size_of(mp) + size_of(dp);
-        if (drop) {
+        if (expired(mp)) {
             stats.removed++;
             stats.bytesFreed += entry_bytes;
             fs::remove(mp, ec);
@@ -274,6 +393,18 @@ ResultCache::gc(const GcOptions &opt)
         } else {
             stats.bytesKept += entry_bytes;
             kept_digests.push_back(digest);
+        }
+    }
+
+    for (const auto &pp : placements) {
+        stats.scanned++;
+        uint64_t entry_bytes = size_of(pp);
+        if (expired(pp)) {
+            stats.removed++;
+            stats.bytesFreed += entry_bytes;
+            fs::remove(pp, ec);
+        } else {
+            stats.bytesKept += entry_bytes;
         }
     }
 

@@ -14,6 +14,12 @@
  *                           material, and a digest of the doc bytes
  *                           (integrity check on read)
  *
+ * and, under a makePlacementKey digest instead of a run's,
+ *
+ *   <digest>.placement.json a synthesis kit's minimized fence
+ *                           placement with its key material and
+ *                           producing binary (see placement())
+ *
  * Writes are atomic (unique temp file + rename), so concurrent worker
  * processes draining one campaign can share a cache directory without
  * locks: the worst case is the same result written twice.
@@ -22,16 +28,41 @@
 #ifndef ASF_SERVICE_RESULT_CACHE_HH
 #define ASF_SERVICE_RESULT_CACHE_HH
 
+#include <atomic>
+#include <condition_variable>
+#include <functional>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 
 #include "harness/experiment.hh"
+#include "prog/rewrite.hh"
 #include "service/config_key.hh"
+
+namespace asf::analysis
+{
+struct MinimizeOptions;
+struct SynthResult;
+}
 
 namespace asf::service
 {
 
 inline constexpr unsigned kManifestSchemaVersion = 1;
+inline constexpr unsigned kPlacementSchemaVersion = 1;
+
+/**
+ * Identity of a kit's minimized fence placement: SHA-256 over the
+ * placement schema version, the binary fingerprint, the kit name and
+ * analysis::minimizeInputText(synthesized, opt). A run's fence design
+ * is not part of it: the minimizer runs its own design matrix, so the
+ * jobs of every design share one placement.
+ */
+ConfigKey makePlacementKey(const std::string &kit,
+                           const Placement &synthesized,
+                           const analysis::MinimizeOptions &opt);
 
 class ResultCache
 {
@@ -66,6 +97,29 @@ class ResultCache
 
     bool contains(const ConfigKey &key) const;
 
+    /**
+     * The minimized placement filed under `key` (a makePlacementKey)
+     * when the stored object is valid for `synth`: its digest,
+     * canonical key text and fingerprint match, and
+     * analysis::readPlacement accepts its fences. Otherwise
+     * `compute()`'s result, which is then filed; anything malformed
+     * reads as a miss and is overwritten. Callers sharing this object
+     * compute each missing placement once: a second caller for the same
+     * key waits for the first, and computes it itself if the first
+     * one's compute() throws. Only placements being computed are held
+     * in memory; finished ones are read back from the directory, so a
+     * fresh directory is always cold.
+     */
+    Placement
+    placement(const ConfigKey &key, const analysis::SynthResult &synth,
+              const std::function<Placement()> &compute);
+
+    /** Placements placement() computed, and served without computing
+     *  (stored, or from a concurrent caller). Host-side counts for
+     *  campaign reports, kept out of stats documents and manifests. */
+    size_t placementsComputed() const { return placementsComputed_; }
+    size_t placementsReused() const { return placementsReused_; }
+
     struct GcOptions
     {
         /** Drop entries whose producing binary differs from this
@@ -77,7 +131,7 @@ class ResultCache
 
     struct GcStats
     {
-        size_t scanned = 0;    ///< manifests examined
+        size_t scanned = 0;    ///< manifests + placements examined
         size_t removed = 0;    ///< entries dropped
         size_t orphans = 0;    ///< stray half-entries cleaned
         uint64_t bytesFreed = 0;
@@ -89,8 +143,25 @@ class ResultCache
   private:
     std::string objectPath(const std::string &digest,
                            const char *kind) const;
+    std::optional<Placement>
+    lookupPlacement(const ConfigKey &key,
+                    const analysis::SynthResult &synth) const;
+    void storePlacement(const ConfigKey &key, const Placement &p);
+
+    /** A placement one caller is computing; waiters keep it alive
+     *  past its landing to read the outcome. */
+    struct Flight
+    {
+        bool landed = false;
+        std::optional<Placement> placement; ///< empty: threw
+    };
 
     std::string dir_;
+    std::mutex flightsMu_;
+    std::condition_variable flightLanded_;
+    std::map<std::string, std::shared_ptr<Flight>> flights_; ///< by digest
+    std::atomic<size_t> placementsComputed_{0};
+    std::atomic<size_t> placementsReused_{0};
 };
 
 // --- process-wide wiring ------------------------------------------------

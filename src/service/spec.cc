@@ -1,7 +1,6 @@
 #include "service/spec.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
 
 #include "analysis/corpus.hh"
@@ -17,31 +16,6 @@ namespace asf::service
 
 namespace
 {
-
-bool
-tryParseDesign(const std::string &name, FenceDesign &out)
-{
-    std::string s;
-    for (char c : name)
-        s.push_back(char(std::tolower(uint8_t(c))));
-    for (FenceDesign d : allFenceDesigns) {
-        std::string canon;
-        for (const char *p = fenceDesignName(d); *p; p++)
-            canon.push_back(char(std::tolower(uint8_t(*p))));
-        if (s == canon)
-            return out = d, true;
-    }
-    // Long-form aliases parseFenceDesign also takes.
-    static const std::pair<const char *, FenceDesign> aliases[] = {
-        {"splus", FenceDesign::SPlus},   {"wsplus", FenceDesign::WSPlus},
-        {"swplus", FenceDesign::SWPlus}, {"wplus", FenceDesign::WPlus},
-        {"weefence", FenceDesign::Wee},
-    };
-    for (const auto &[alias, d] : aliases)
-        if (s == alias)
-            return out = d, true;
-    return false;
-}
 
 bool
 knownWorkload(const std::string &workload, std::string &error)
@@ -121,11 +95,14 @@ parseSpec(const JsonValue &v, ExperimentSpec &out, std::string &error)
     out.workload = v["workload"].asString();
     if (!knownWorkload(out.workload, error))
         return false;
-    if (v.has("design") &&
-        !tryParseDesign(v["design"].asString(), out.design)) {
-        error = format("unknown fence design '%s'",
-                       v["design"].asString().c_str());
-        return false;
+    if (v.has("design")) {
+        auto design = tryParseFenceDesign(v["design"].asString());
+        if (!design) {
+            error = format("unknown fence design '%s'",
+                           v["design"].asString().c_str());
+            return false;
+        }
+        out.design = *design;
     }
     out.cores = unsigned(v["cores"].asU64(out.cores));
     if (out.cores < 1 || out.cores > 64) {

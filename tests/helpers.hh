@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "prog/assembler.hh"
 #include "sys/system.hh"
@@ -65,6 +69,32 @@ loadProgram(Addr addr, Addr result)
     a.halt();
     return a.finish();
 }
+
+/** A fresh directory under the system temp dir, removed with its
+ *  contents when the object goes. */
+struct TempDir
+{
+    std::string path;
+
+    explicit TempDir(const char *tag)
+    {
+        std::string tmpl =
+            (std::filesystem::temp_directory_path() /
+             (std::string("asf_") + tag + ".XXXXXX"))
+                .string();
+        std::vector<char> buf(tmpl.begin(), tmpl.end());
+        buf.push_back('\0');
+        if (!mkdtemp(buf.data()))
+            std::abort();
+        path = buf.data();
+    }
+
+    ~TempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+};
 
 } // namespace asf::test
 

@@ -12,14 +12,12 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "../helpers.hh"
 #include "service/campaign.hh"
 #include "service/result_cache.hh"
 #include "service/spec.hh"
@@ -28,33 +26,10 @@ namespace fs = std::filesystem;
 
 using namespace asf;
 using namespace asf::service;
+using asf::test::TempDir;
 
 namespace
 {
-
-struct TempDir
-{
-    std::string path;
-
-    explicit TempDir(const char *tag)
-    {
-        std::string tmpl =
-            (fs::temp_directory_path() /
-             (std::string("asf_") + tag + ".XXXXXX"))
-                .string();
-        std::vector<char> buf(tmpl.begin(), tmpl.end());
-        buf.push_back('\0');
-        if (!mkdtemp(buf.data()))
-            std::abort();
-        path = buf.data();
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path, ec);
-    }
-};
 
 /** Four quick jobs: one ustm bench under all four paper designs. */
 const std::vector<std::string> &

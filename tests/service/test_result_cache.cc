@@ -2,22 +2,22 @@
  * Content-addressed result store (src/service/result_cache.cc): a
  * stored run comes back with its exact stats-document bytes and its
  * full ExperimentResult; anything suspicious — unknown key, corrupt
- * doc, torn manifest — is a miss, never a wrong hit; gc prunes by
+ * doc, torn manifest, a design this binary does not know — is a miss,
+ * never a wrong hit or a fatal error; gc prunes by
  * producing-binary fingerprint and cleans stray half-entries; and the
  * thread-scoped cache binding wins over the process-global one.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "../helpers.hh"
 #include "harness/experiment.hh"
 #include "service/config_key.hh"
+#include "service/fsio.hh"
 #include "service/result_cache.hh"
 #include "sys/config.hh"
 
@@ -26,33 +26,10 @@ namespace fs = std::filesystem;
 using namespace asf;
 using namespace asf::harness;
 using namespace asf::service;
+using asf::test::TempDir;
 
 namespace
 {
-
-struct TempDir
-{
-    std::string path;
-
-    explicit TempDir(const char *tag)
-    {
-        std::string tmpl =
-            (fs::temp_directory_path() /
-             (std::string("asf_") + tag + ".XXXXXX"))
-                .string();
-        std::vector<char> buf(tmpl.begin(), tmpl.end());
-        buf.push_back('\0');
-        if (!mkdtemp(buf.data()))
-            std::abort();
-        path = buf.data();
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path, ec);
-    }
-};
 
 ExperimentResult
 sampleResult()
@@ -187,6 +164,41 @@ TEST(ResultCache, TornManifestIsAMiss)
         f << "{\"schemaVersion\":1,\"dig"; // torn mid-write
     }
     EXPECT_FALSE(cache.lookup(key).has_value());
+}
+
+TEST(ResultCache, UnknownDesignInManifestIsAMissNotFatal)
+{
+    // A manifest naming a design this binary does not know used to end
+    // the process; it must read as a miss, and the fresh run must
+    // overwrite the entry.
+    TempDir tmp("cache");
+    ResultCache cache(tmp.path);
+    ScopedActiveCache bind(&cache);
+    const workloads::TlrwBench &bench =
+        workloads::ustmBenchByName("Counter");
+    ExperimentResult cold =
+        runUstmExperiment(bench, FenceDesign::WPlus, 4, 5000);
+    ASSERT_FALSE(cold.cacheHit);
+
+    fs::path manifest = fs::path(tmp.path) / "objects" /
+                        (cold.configDigest + ".manifest.json");
+    std::string bytes = readFile(manifest).value_or("");
+    const std::string design = "\"design\":\"W+\"";
+    size_t at = bytes.find(design);
+    ASSERT_NE(at, std::string::npos) << bytes;
+    bytes.replace(at, design.size(), "\"design\":\"W++\"");
+    ASSERT_TRUE(atomicWrite(manifest, bytes));
+
+    ExperimentResult rerun =
+        runUstmExperiment(bench, FenceDesign::WPlus, 4, 5000);
+    EXPECT_FALSE(rerun.cacheHit);
+    EXPECT_EQ(rerun.cycles, cold.cycles);
+    EXPECT_EQ(rerun.commits, cold.commits);
+
+    ExperimentResult warm =
+        runUstmExperiment(bench, FenceDesign::WPlus, 4, 5000);
+    EXPECT_TRUE(warm.cacheHit) << "the rerun did not repair the entry";
+    EXPECT_EQ(warm.design, FenceDesign::WPlus);
 }
 
 TEST(ResultCache, GcDropsForeignBinaries)

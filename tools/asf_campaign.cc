@@ -165,10 +165,12 @@ cmdRun(int argc, char **argv)
     RunStats st = runCampaign(c, opt);
     std::printf("campaign '%s' shard %u/%u: %zu jobs, %zu already "
                 "done, %zu executed (%zu cache hits), %zu claimed "
-                "elsewhere, %zu failures%s\n",
+                "elsewhere, %zu failures; placements %zu computed, %zu "
+                "reused%s\n",
                 c.name.c_str(), opt.shardIndex, opt.shardCount,
                 st.total, st.alreadyDone, st.executed, st.cacheHits,
-                st.claimedElsewhere, st.failures,
+                st.claimedElsewhere, st.failures, st.placementsComputed,
+                st.placementsReused,
                 st.aborted ? " [aborted by --abort-after]" : "");
     // Failures are surfaced but do not block the other jobs; a
     // non-zero exit tells automation to look.

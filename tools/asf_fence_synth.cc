@@ -124,12 +124,6 @@ parse(int argc, char **argv)
     return opt;
 }
 
-const char *
-roleName(FenceRole r)
-{
-    return r == FenceRole::Critical ? "critical" : "noncritical";
-}
-
 /** Run the full (design x seed) matrix over a placement; true when no
  *  run convicts. Used for --no-minimize, where the minimizer's own
  *  final verification does not happen. */
@@ -214,7 +208,7 @@ main(int argc, char **argv)
     for (const PlacedFence &f : synth.fences)
         std::printf("  t%u before pc %llu  %-11s weight %g  (%s)\n",
                     f.thread, (unsigned long long)f.beforePc,
-                    roleName(f.role), f.weight,
+                    fenceRoleName(f.role), f.weight,
                     synth.input[f.thread]->at(f.beforePc)
                         .toString()
                         .c_str());
