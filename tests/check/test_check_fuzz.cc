@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "../helpers.hh"
 #include "check/axioms.hh"
 #include "prog/fuzz.hh"
@@ -20,11 +22,16 @@ using namespace asf::test;
 namespace
 {
 
+// Explicit zeroed padding keeps gtest's byte printout of the
+// parameter, and so every discovered ctest name, the same in every
+// build (see SweepParam in fence/test_property_sweeps.cc).
 struct CheckSweepParam
 {
     FenceDesign design;
+    uint8_t pad[7] = {};
     uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<CheckSweepParam>);
 
 std::string
 paramName(const ::testing::TestParamInfo<CheckSweepParam> &info)
@@ -42,7 +49,7 @@ allParams()
     std::vector<CheckSweepParam> out;
     for (FenceDesign d : allFenceDesigns)
         for (uint64_t seed : {101ull, 202ull, 303ull, 404ull})
-            out.push_back({d, seed});
+            out.push_back({.design = d, .seed = seed});
     return out;
 }
 

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "../helpers.hh"
 #include "prog/fuzz.hh"
 
@@ -21,12 +23,19 @@ using namespace asf::test;
 namespace
 {
 
+// gtest prints a parameter that has no PrintTo as its raw bytes, and
+// gtest_discover_tests puts that printout into every ctest name. The
+// padding is spelled out and zeroed so the names are the same in every
+// build; left implicit, it would hold whatever the heap held before.
 struct SweepParam
 {
     FenceDesign design;
+    uint8_t pad0[7] = {};
     uint64_t seed;
     bool packed;
+    uint8_t pad1[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>);
 
 std::string
 paramName(const ::testing::TestParamInfo<SweepParam> &info)
@@ -46,7 +55,7 @@ allParams()
     for (FenceDesign d : allFenceDesigns)
         for (uint64_t seed : {11ull, 22ull, 33ull})
             for (bool packed : {false, true})
-                out.push_back({d, seed, packed});
+                out.push_back({.design = d, .seed = seed, .packed = packed});
     return out;
 }
 
