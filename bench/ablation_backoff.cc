@@ -24,20 +24,12 @@ main(int argc, char **argv)
     std::vector<SweepJob> sweep;
     for (Tick base : {4u, 8u, 16u, 32u, 64u}) {
         for (const char *name : {"Counter", "Hash"}) {
-            sweep.push_back([base, name, run_cycles] {
-                const TlrwBench &bench = ustmBenchByName(name);
-                SystemConfig cfg;
-                cfg.numCores = 8;
-                cfg.design = FenceDesign::WSPlus;
-                cfg.retryBackoffBase = base;
-                cfg.fastForward = harness::fastForwardEnabled();
-                System sys(cfg);
-                setupTlrwWorkload(sys, bench, 0);
-                sys.run(run_cycles);
-                ExperimentResult r;
-                r.cycles = sys.now();
-                harvestStats(sys, r);
-                return r;
+            SystemConfig machine;
+            machine.design = FenceDesign::WSPlus;
+            machine.retryBackoffBase = base;
+            const TlrwBench &bench = ustmBenchByName(name);
+            sweep.push_back([&bench, machine, run_cycles] {
+                return runUstmExperiment(bench, machine, run_cycles);
             });
         }
     }
@@ -47,6 +39,7 @@ main(int argc, char **argv)
     for (Tick base : {4u, 8u, 16u, 32u, 64u}) {
         for (const char *name : {"Counter", "Hash"}) {
             const ExperimentResult &r = results[ri++];
+            requireValid(r);
             table.addRow({std::to_string(base), name,
                           fmtDouble(r.throughputTxnPerKcycle()),
                           fmtDouble(r.retriesPerBouncedWrite, 2),

@@ -22,34 +22,14 @@ main(int argc, char **argv)
                  "fenceStallPct"});
 
     std::vector<SweepJob> sweep;
-    // bsFullHolds is not an ExperimentResult field; each job writes its
-    // own slot (slot i belongs exclusively to job i).
-    std::vector<uint64_t> holds_by_job;
     for (unsigned bs : {1u, 2u, 4u, 8u, 16u, 32u}) {
         for (const char *name : {"ReadNWrite1", "Hash"}) {
-            size_t slot = sweep.size();
-            holds_by_job.push_back(0);
-            sweep.push_back([bs, name, run_cycles, slot, &holds_by_job] {
-                const TlrwBench &bench = ustmBenchByName(name);
-                SystemConfig cfg;
-                cfg.numCores = 8;
-                cfg.design = FenceDesign::WPlus;
-                cfg.bsEntries = bs;
-                cfg.fastForward = harness::fastForwardEnabled();
-                System sys(cfg);
-                setupTlrwWorkload(sys, bench, 0);
-                sys.run(run_cycles);
-                ExperimentResult r;
-                r.workload = bench.name;
-                r.design = cfg.design;
-                r.cycles = sys.now();
-                harvestStats(sys, r);
-                uint64_t holds = 0;
-                for (unsigned i = 0; i < 8; i++)
-                    holds +=
-                        sys.core(NodeId(i)).stats().get("bsFullHolds");
-                holds_by_job[slot] = holds;
-                return r;
+            SystemConfig machine;
+            machine.design = FenceDesign::WPlus;
+            machine.bsEntries = bs;
+            const TlrwBench &bench = ustmBenchByName(name);
+            sweep.push_back([&bench, machine, run_cycles] {
+                return runUstmExperiment(bench, machine, run_cycles);
             });
         }
     }
@@ -58,12 +38,12 @@ main(int argc, char **argv)
     size_t ri = 0;
     for (unsigned bs : {1u, 2u, 4u, 8u, 16u, 32u}) {
         for (const char *name : {"ReadNWrite1", "Hash"}) {
-            const ExperimentResult &r = results[ri];
+            const ExperimentResult &r = results[ri++];
+            requireValid(r);
             table.addRow({std::to_string(bs), name,
                           fmtDouble(r.throughputTxnPerKcycle()),
-                          std::to_string(holds_by_job[ri]),
+                          std::to_string(r.bsFullHolds),
                           fmtDouble(100.0 * r.breakdown.fenceFrac(), 1)});
-            ri++;
         }
     }
 

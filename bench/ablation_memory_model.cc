@@ -17,48 +17,15 @@ using namespace asf::workloads;
 namespace
 {
 
-ExperimentResult
-runUstmModel(const TlrwBench &bench, MemoryModel model,
-             unsigned store_units, Tick cycles)
+/** The S+ machine under `model` with `store_units` parallel drains. */
+SystemConfig
+modelMachine(MemoryModel model, unsigned store_units)
 {
-    SystemConfig cfg;
-    cfg.numCores = 8;
-    cfg.design = FenceDesign::SPlus;
-    cfg.memoryModel = model;
-    cfg.storeUnits = store_units;
-    cfg.fastForward = fastForwardEnabled();
-    System sys(cfg);
-    setupTlrwWorkload(sys, bench, 0);
-    sys.run(cycles);
-    ExperimentResult r;
-    r.workload = bench.name;
-    r.cycles = sys.now();
-    harvestStats(sys, r);
-    return r;
-}
-
-ExperimentResult
-runCilkModel(CilkApp app, MemoryModel model, unsigned store_units,
-             bool quick)
-{
-    if (quick) {
-        app.spawnDepth = std::min(app.spawnDepth, 3u);
-        app.initialTasks = std::min(app.initialTasks, 2u);
-    }
-    SystemConfig cfg;
-    cfg.numCores = 8;
-    cfg.design = FenceDesign::SPlus;
-    cfg.memoryModel = model;
-    cfg.storeUnits = store_units;
-    cfg.fastForward = fastForwardEnabled();
-    System sys(cfg);
-    setupCilkApp(sys, app);
-    sys.run(30'000'000);
-    ExperimentResult r;
-    r.workload = app.name;
-    r.cycles = sys.now();
-    harvestStats(sys, r);
-    return r;
+    SystemConfig m;
+    m.design = FenceDesign::SPlus;
+    m.memoryModel = model;
+    m.storeUnits = store_units;
+    return m;
 }
 
 } // namespace
@@ -76,25 +43,30 @@ main(int argc, char **argv)
     for (const char *name : {"Hash", "List", "ReadWriteN"}) {
         const TlrwBench &bench = ustmBenchByName(name);
         sweep.push_back([&bench, run_cycles] {
-            return runUstmModel(bench, MemoryModel::TSO, 1, run_cycles);
+            return runUstmExperiment(
+                bench, modelMachine(MemoryModel::TSO, 1), run_cycles);
         });
         for (unsigned units : {2u, 3u})
             sweep.push_back([&bench, units, run_cycles] {
-                return runUstmModel(bench, MemoryModel::RC, units,
-                                    run_cycles);
+                return runUstmExperiment(
+                    bench, modelMachine(MemoryModel::RC, units), run_cycles);
             });
     }
     // Work-stealing tasks write multi-store result bursts: the place
     // where RC's parallel drain genuinely shortens the take() fence.
     for (const char *name : {"bucket", "heat", "plu"}) {
-        const CilkApp &app = cilkAppByName(name);
-        bool quick = opt.quick;
-        sweep.push_back([app, quick] {
-            return runCilkModel(app, MemoryModel::TSO, 1, quick);
+        CilkApp app = cilkAppByName(name);
+        if (opt.quick) {
+            app.spawnDepth = std::min(app.spawnDepth, 3u);
+            app.initialTasks = std::min(app.initialTasks, 2u);
+        }
+        sweep.push_back([app] {
+            return runCilkExperiment(app, modelMachine(MemoryModel::TSO, 1));
         });
         for (unsigned units : {2u, 3u})
-            sweep.push_back([app, units, quick] {
-                return runCilkModel(app, MemoryModel::RC, units, quick);
+            sweep.push_back([app, units] {
+                return runCilkExperiment(
+                    app, modelMachine(MemoryModel::RC, units));
             });
     }
     std::vector<ExperimentResult> results = runSweep(sweep, opt.jobs);
@@ -104,6 +76,7 @@ main(int argc, char **argv)
         double tso_tp = 0;
         {
             const ExperimentResult &r = results[ri++];
+            requireValid(r);
             tso_tp = r.throughputTxnPerKcycle();
             table.addRow({name, "TSO", "1", fmtDouble(tso_tp),
                           fmtDouble(100.0 * r.breakdown.fenceFrac(), 1),
@@ -111,6 +84,7 @@ main(int argc, char **argv)
         }
         for (unsigned units : {2u, 3u}) {
             const ExperimentResult &r = results[ri++];
+            requireValid(r);
             double tp = r.throughputTxnPerKcycle();
             table.addRow({name, "RC", std::to_string(units),
                           fmtDouble(tp),
@@ -123,6 +97,7 @@ main(int argc, char **argv)
         double tso_time = 0;
         {
             const ExperimentResult &r = results[ri++];
+            requireValid(r);
             tso_time = double(r.cycles);
             table.addRow({name, "TSO", "1", "-",
                           fmtDouble(100.0 * r.breakdown.fenceFrac(), 1),
@@ -130,6 +105,7 @@ main(int argc, char **argv)
         }
         for (unsigned units : {2u, 3u}) {
             const ExperimentResult &r = results[ri++];
+            requireValid(r);
             table.addRow({name, "RC", std::to_string(units), "-",
                           fmtDouble(100.0 * r.breakdown.fenceFrac(), 1),
                           fmtDouble(tso_time / double(r.cycles))});

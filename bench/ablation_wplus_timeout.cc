@@ -25,20 +25,12 @@ main(int argc, char **argv)
     std::vector<SweepJob> sweep;
     for (Tick timeout : {50u, 100u, 300u, 1000u, 3000u}) {
         for (const char *name : {"Counter", "TreeOverwrite"}) {
-            sweep.push_back([timeout, name, run_cycles] {
-                const TlrwBench &bench = ustmBenchByName(name);
-                SystemConfig cfg;
-                cfg.numCores = 8;
-                cfg.design = FenceDesign::WPlus;
-                cfg.wPlusTimeout = timeout;
-                cfg.fastForward = harness::fastForwardEnabled();
-                System sys(cfg);
-                setupTlrwWorkload(sys, bench, 0);
-                sys.run(run_cycles);
-                ExperimentResult r;
-                r.cycles = sys.now();
-                harvestStats(sys, r);
-                return r;
+            SystemConfig machine;
+            machine.design = FenceDesign::WPlus;
+            machine.wPlusTimeout = timeout;
+            const TlrwBench &bench = ustmBenchByName(name);
+            sweep.push_back([&bench, machine, run_cycles] {
+                return runUstmExperiment(bench, machine, run_cycles);
             });
         }
     }
@@ -48,6 +40,7 @@ main(int argc, char **argv)
     for (Tick timeout : {50u, 100u, 300u, 1000u, 3000u}) {
         for (const char *name : {"Counter", "TreeOverwrite"}) {
             const ExperimentResult &r = results[ri++];
+            requireValid(r);
             double per_wf = r.fencesWeak
                                 ? double(r.wPlusRecoveries) /
                                       double(r.fencesWeak)

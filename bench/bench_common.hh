@@ -1,23 +1,23 @@
 /**
  * @file
- * Shared plumbing for the figure/table bench binaries: the design list
- * the paper plots, normalized-bar formatting, and CLI handling
- * (--csv for machine-readable output, --quick for a reduced sweep,
- * --jobs N for parallel host execution of independent configurations).
+ * Shared plumbing for the figure, table and ablation bench binaries:
+ * the design list the paper plots, table output, and CLI handling
+ * (--csv for machine-readable output, --quick for a reduced sweep, and
+ * the run flags asf_sim shares, --jobs N among them).
  */
 
 #ifndef ASF_BENCH_COMMON_HH
 #define ASF_BENCH_COMMON_HH
 
-#include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "harness/cli.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
-#include "service/result_cache.hh"
 #include "sim/logging.hh"
 
 namespace asf::bench
@@ -37,82 +37,30 @@ struct BenchOptions
 {
     bool csv = false;
     bool quick = false;
-    unsigned jobs = 1;     ///< host worker threads for the config sweep
-    std::string statsJson; ///< --stats-json path ("" = off)
-    std::string trace;     ///< --trace path ("" = off)
-    std::string fenceProfile; ///< --fence-profile JSONL path ("" = off)
-    std::string cacheDir; ///< --cache-dir result cache root ("" = off)
-    /** Livelock watchdog window; on by default in the benches so a
-     *  livelocked configuration aborts with a diagnostic snapshot
-     *  instead of burning the full cycle budget. 0 disables. */
-    Tick watchdogCycles = 1'000'000;
+    unsigned jobs = 1; ///< host worker threads for the config sweep
 };
 
+/**
+ * Parse --csv, --quick and the shared run flags (harness/cli.hh), and
+ * apply the run flags. A --quick sweep shrinks workloads whose shape
+ * the cache key does not cover, so its results are filed under
+ * `<cache-dir>/quick`, apart from the full sweep's.
+ */
 inline BenchOptions
 parseArgs(int argc, char **argv)
 {
     BenchOptions opt;
-    for (int i = 1; i < argc; i++) {
-        // "--flag=VALUE" form; returns nullptr when argv[i] is not it.
-        auto eq_form = [&](const char *flag) -> const char * {
-            size_t n = std::strlen(flag);
-            if (!std::strncmp(argv[i], flag, n) && argv[i][n] == '=')
-                return argv[i] + n + 1;
-            return nullptr;
-        };
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--csv"))
-            opt.csv = true;
-        else if (!std::strcmp(argv[i], "--quick"))
-            opt.quick = true;
-        else if (!std::strcmp(argv[i], "--jobs"))
-            opt.jobs = unsigned(std::atoi(need("--jobs")));
-        else if (const char *v = eq_form("--jobs"))
-            opt.jobs = unsigned(std::atoi(v));
-        else if (!std::strcmp(argv[i], "--no-fast-forward"))
-            harness::setFastForwardEnabled(false);
-        else if (!std::strcmp(argv[i], "--no-direct-exec"))
-            harness::setDirectExecEnabled(false);
-        else if (!std::strcmp(argv[i], "--stats-json"))
-            opt.statsJson = need("--stats-json");
-        else if (const char *v = eq_form("--stats-json"))
-            opt.statsJson = v;
-        else if (!std::strcmp(argv[i], "--trace"))
-            opt.trace = need("--trace");
-        else if (const char *v = eq_form("--trace"))
-            opt.trace = v;
-        else if (!std::strcmp(argv[i], "--fence-profile"))
-            opt.fenceProfile = need("--fence-profile");
-        else if (const char *v = eq_form("--fence-profile"))
-            opt.fenceProfile = v;
-        else if (!std::strcmp(argv[i], "--cache-dir"))
-            opt.cacheDir = need("--cache-dir");
-        else if (const char *v = eq_form("--cache-dir"))
-            opt.cacheDir = v;
-        else if (!std::strcmp(argv[i], "--watchdog-cycles"))
-            opt.watchdogCycles = Tick(std::atoll(need("--watchdog-cycles")));
-        else if (const char *v = eq_form("--watchdog-cycles"))
-            opt.watchdogCycles = Tick(std::atoll(v));
-        else
-            fatal("unknown option '%s' (supported: --csv --quick "
-                  "--jobs N --no-fast-forward --no-direct-exec --stats-json PATH "
-                  "--trace PATH --fence-profile PATH --cache-dir DIR "
-                  "--watchdog-cycles N)",
-                  argv[i]);
-    }
-    if (!opt.statsJson.empty())
-        harness::setStatsJsonPath(opt.statsJson);
-    if (!opt.trace.empty())
-        harness::setTracePath(opt.trace);
-    if (!opt.fenceProfile.empty())
-        harness::setFenceProfilePath(opt.fenceProfile);
-    if (!opt.cacheDir.empty())
-        service::setGlobalResultCacheDir(opt.cacheDir);
-    harness::setWatchdogCyclesDefault(opt.watchdogCycles);
+    harness::RunFlags run;
+    harness::Cli cli(format("usage: %s [options]", argv[0]));
+    cli.flag("--csv", "machine-readable table", opt.csv)
+        .flag("--quick", "reduced sweep", opt.quick);
+    harness::addRunFlags(cli, run);
+    cli.parse(argc, argv);
+    if (opt.quick && !run.cacheDir.empty())
+        run.cacheDir =
+            (std::filesystem::path(run.cacheDir) / "quick").string();
+    harness::applyRunFlags(run);
+    opt.jobs = run.jobs;
     setVerbose(false);
     return opt;
 }

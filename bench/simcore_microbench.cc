@@ -7,9 +7,10 @@
  *    `noFastForward` (cycle-exact), `fastForward` (idle-cycle skipping,
  *    PR 2), and `directExec` (fast-forward plus the block-batched
  *    direct-execution engine; see DESIGN.md "Run-loop arbitration") —
- *    recording host wall-clock, simulated cycles per host second and
- *    executed events per second for each, plus the two speedups over
- *    the cycle-exact baseline. The workloads span the regimes the two
+ *    recording host wall-clock (the median of five interleaved
+ *    rounds), simulated cycles per host second and executed events per
+ *    second for each, plus the two speedups over the cycle-exact
+ *    baseline. The workloads span the regimes the two
  *    optimizations target: a fence-heavy cold-miss stream (idle-
  *    dominated), 8- and 32-core busy spins (compute-bound, the
  *    direct-execution target), and a mixed compute+fence kernel. All
@@ -262,19 +263,20 @@ timeWorkload(Kernel kernel, unsigned cores, Mode mode, int64_t iters,
  * versus interval sampling at ~10k intervals plus hot-line tracking.
  * Overhead is measured on process CPU time (wall-clock on a shared
  * host swings tens of percent on runs this size, drowning a
- * single-digit effect), as the median over `reps` back-to-back off/on
- * pairs of each pair's on/off ratio: both runs of a pair see the same
- * slow or fast spell of a shared host, which a best-of-N over each
- * side separately does not cancel. The neutral stats dumps must be
- * byte-identical — observation only, enforced here too.
+ * single-digit effect). Off and on runs alternate, off first and last,
+ * and the overhead is the median over the `reps` on-runs of each one's
+ * ratio to the mean of the off-runs on either side, so a slow or fast
+ * spell of a shared host lands on both sides of a ratio. The neutral
+ * stats dumps must be byte-identical — observation only, enforced here
+ * too.
  */
 struct ObsOverhead
 {
     Tick intervalCycles = 0;
     uint64_t samplesTaken = 0;
-    double secondsOff = 0; ///< median over the pairs
-    double secondsOn = 0;  ///< median over the pairs
-    double ratio = 1.0;    ///< median of the pairs' on/off ratios
+    double secondsOff = 0; ///< median over the off-runs
+    double secondsOn = 0;  ///< median over the on-runs
+    double ratio = 1.0;    ///< median of the bracketed on/off ratios
     bool identical = false;
 
     double overheadPct() const { return (ratio - 1.0) * 100.0; }
@@ -306,17 +308,24 @@ measureObservatory(int64_t iters, int reps)
     ObsOverhead o;
     o.intervalCycles = std::max<Tick>(1, probe.simCycles / 10'000);
     o.identical = true;
-    std::vector<double> offs, ons, ratios;
+    auto run_off = [&] {
+        return timeWorkload(Kernel::BusySpin, cores, mode, iters, 0, false,
+                            true);
+    };
+    HostRun off = run_off();
+    std::vector<double> offs{off.cpuSeconds}, ons, ratios;
     HostRun on_last;
     for (int i = 0; i < reps; i++) {
-        HostRun off = timeWorkload(Kernel::BusySpin, cores, mode,
-                                   iters, 0, false, true);
         HostRun on = timeWorkload(Kernel::BusySpin, cores, mode, iters,
                                   o.intervalCycles, true, true);
-        o.identical = o.identical && on.statsJson == off.statsJson;
-        offs.push_back(off.cpuSeconds);
+        HostRun next_off = run_off();
+        o.identical = o.identical && on.statsJson == off.statsJson &&
+                      next_off.statsJson == off.statsJson;
         ons.push_back(on.cpuSeconds);
-        ratios.push_back(on.cpuSeconds / off.cpuSeconds);
+        offs.push_back(next_off.cpuSeconds);
+        ratios.push_back(2.0 * on.cpuSeconds /
+                         (off.cpuSeconds + next_off.cpuSeconds));
+        off = next_off;
         on_last = on;
     }
     o.secondsOff = median(offs);
@@ -381,11 +390,20 @@ writeReport(const std::string &path, bool quick,
             continue;
         int64_t iters = quick ? e.iters / 4 : e.iters;
         // Warm-up run absorbs first-touch host effects (page faults,
-        // allocator growth), then time all three modes.
+        // allocator growth), then time all three modes in kRounds
+        // interleaved rounds and keep each mode's median time: one
+        // slow or fast spell of a shared host then moves no ratio.
         timeWorkload(e.kernel, e.cores, Mode::NoFastForward, iters / 4);
+        constexpr int kRounds = 5;
         HostRun runs[3];
+        std::vector<double> seconds[3];
+        for (int round = 0; round < kRounds; round++)
+            for (int m = 0; m < 3; m++) {
+                runs[m] = timeWorkload(e.kernel, e.cores, modes[m], iters);
+                seconds[m].push_back(runs[m].seconds);
+            }
         for (int m = 0; m < 3; m++)
-            runs[m] = timeWorkload(e.kernel, e.cores, modes[m], iters);
+            runs[m].seconds = median(seconds[m]);
         const HostRun &base = runs[0];
         // The identity invariant, over the FULL stats dump: any
         // divergence between execution modes is a simulator bug, not a

@@ -78,24 +78,4 @@ TraceCache::clear()
     ops_.clear();
 }
 
-const char *
-traceKindName(TraceCache::Kind k)
-{
-    switch (k) {
-      case TraceCache::Kind::Pure:
-        return "pure";
-      case TraceCache::Kind::Control:
-        return "control";
-      case TraceCache::Kind::Load:
-        return "load";
-      case TraceCache::Kind::Store:
-        return "store";
-      case TraceCache::Kind::Compute:
-        return "compute";
-      case TraceCache::Kind::Breaker:
-        return "breaker";
-    }
-    return "?";
-}
-
 } // namespace asf

@@ -84,8 +84,6 @@ class TraceCache
     std::vector<uint64_t> ops_;
 };
 
-const char *traceKindName(TraceCache::Kind k);
-
 } // namespace asf
 
 #endif // ASF_CPU_TRACE_CACHE_HH

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <sstream>
 
@@ -54,7 +55,7 @@ thread_local std::vector<std::string> *runCaptureSink = nullptr;
 
 std::atomic<bool> fastForwardDefault{true};
 std::atomic<bool> directExecDefault{true};
-std::atomic<Tick> watchdogDefault{0};
+std::atomic<Tick> watchdogDefault{1'000'000};
 std::atomic<bool> checkExecutionDefault{false};
 std::atomic<Tick> statsIntervalDefault_{0};
 
@@ -107,31 +108,6 @@ runLabel(const std::string &workload, FenceDesign design, unsigned cores)
                   cores);
 }
 
-/** One viewer process row per experiment. */
-void
-beginRunTrace(const std::string &label)
-{
-    ASF_TRACE(beginRun(label));
-}
-
-/** The SystemConfig fields every runner derives from the process-wide
- *  defaults. Runners may still adjust fields afterwards (synth forces
- *  checkExecution on) before heartbeatBindRun() hashes the summary. */
-SystemConfig
-baseRunConfig(FenceDesign design, unsigned cores)
-{
-    SystemConfig cfg;
-    cfg.numCores = cores;
-    cfg.design = design;
-    cfg.fastForward = fastForwardEnabled();
-    cfg.directExec = directExecEnabled();
-    cfg.watchdogCycles = watchdogCyclesDefault();
-    cfg.fenceProfileRaw = !fenceProfilePath().empty();
-    cfg.checkExecution = checkExecutionEnabled();
-    cfg.statsInterval = statsIntervalDefault();
-    return cfg;
-}
-
 void flushStatsJsonLocked();
 
 /** Hand one run document to the thread's capture sink or the global
@@ -152,65 +128,11 @@ deliverRunDoc(std::string doc)
     flushStatsJsonLocked();
 }
 
-/** Cache-front state for one experiment run (see cacheFrontBegin). */
-struct CacheFront
+/** One run's stats document (the result's own fields, then the
+ *  System's full stats as `system`). */
+std::string
+runDocument(System &sys, const ExperimentResult &r)
 {
-    service::ResultCache *cache = nullptr;
-    service::ConfigKey key;
-    bool eligible = false; ///< cache lookup/store allowed for this run
-    std::chrono::steady_clock::time_point started;
-};
-
-/**
- * The cache front every runner passes through once the run's
- * SystemConfig is final, before building a System: computes the run's
- * canonical ConfigKey (whenever a cache or heartbeat wants one),
- * consults the active result cache, and on a hit splices the stored
- * stats document into the log and fills `out` from the manifest —
- * zero cycles simulated. Returns true on a hit.
- *
- * Runs that need a live System on the side (a --stats dump, a raw
- * fence profile, a Chrome trace) are ineligible: they execute normally
- * and are not stored either, so cached documents always come from
- * plain runs and a hit never loses side outputs.
- */
-bool
-cacheFrontBegin(SystemConfig &cfg, const std::string &label,
-                const std::string &extra, std::ostream *stats_out,
-                ExperimentResult &out, CacheFront &cf)
-{
-    cf.cache = service::activeResultCache();
-    cf.eligible = cf.cache && !stats_out && fenceProfilePath().empty() &&
-                  !Trace::get().enabled();
-    size_t hb_job;
-    if (cf.cache || activeHeartbeat(hb_job))
-        cf.key = service::makeConfigKey(cfg, label, extra);
-    if (cf.eligible) {
-        if (auto hit = cf.cache->lookup(cf.key)) {
-            heartbeatBindRun(cfg, label, cf.key.digest);
-            deliverRunDoc(std::move(hit->doc));
-            out = std::move(hit->result);
-            out.configDigest = cf.key.digest;
-            return true;
-        }
-    }
-    heartbeatBindRun(cfg, label, cf.key.digest);
-    cf.started = std::chrono::steady_clock::now();
-    return false;
-}
-
-/** Append this run's stats document to the log and rewrite the file;
- *  file the document + result under the run's ConfigKey when the
- *  result cache is on. */
-void
-recordRun(System &sys, ExperimentResult &r, const CacheFront &cf)
-{
-    appendFenceProfileRaw(sys);
-    r.configDigest = cf.key.digest;
-    // A capture sink (or the cache) wants the document even when no log
-    // file is set (the bytes may end up in a file chosen at merge time).
-    if (statsJsonPathRef().empty() && !runCaptureSink && !cf.eligible)
-        return;
     std::ostringstream os;
     {
         JsonWriter w(os);
@@ -264,15 +186,7 @@ recordRun(System &sys, ExperimentResult &r, const CacheFront &cf)
         w.key("system").raw(doc);
         w.endObject();
     }
-    std::string doc = os.str();
-    if (cf.eligible) {
-        double wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - cf.started)
-                .count();
-        cf.cache->store(cf.key, r, doc, wall_ms);
-    }
-    deliverRunDoc(std::move(doc));
+    return os.str();
 }
 
 } // namespace
@@ -392,12 +306,6 @@ setObsDir(const std::string &dir)
     obsDirRef() = dir;
 }
 
-const std::string &
-obsDir()
-{
-    return obsDirRef();
-}
-
 std::string
 resolveObsPath(const std::string &path)
 {
@@ -479,13 +387,6 @@ flushStatsJsonLocked()
 
 } // namespace
 
-void
-flushStatsJson()
-{
-    std::lock_guard<std::mutex> lock(statsLogMutex());
-    flushStatsJsonLocked();
-}
-
 double
 ExperimentResult::throughputTxnPerKcycle() const
 {
@@ -508,7 +409,7 @@ ExperimentResult::fencesPer1000Instr(uint64_t count) const
 }
 
 void
-harvestStats(System &sys, ExperimentResult &r)
+harvestStats(System &sys, ExperimentResult &r, bool require_sc)
 {
     r.cores = sys.numCores();
     r.breakdown = sys.breakdown();
@@ -534,6 +435,7 @@ harvestStats(System &sys, ExperimentResult &r)
         r.bouncedWrites += cs.get("bouncedWrites");
         r.wPlusRecoveries += cs.get("wPlusRecoveries");
         r.loadSquashes += cs.get("loadSquashes");
+        r.bsFullHolds += cs.get("bsFullHolds");
         // Merge the per-core averages weighted by sample count.
         StatGroup &mut = sys.core(NodeId(i)).stats();
         bs_samples += mut.average("bsLinesPerWf").count();
@@ -550,63 +452,144 @@ harvestStats(System &sys, ExperimentResult &r)
     r.bytesRetry = ns.get("bytesRetry");
     r.bytesGrt = ns.get("bytesGrt");
 
-    if (const check::ExecutionRecorder *rec = sys.executionRecorder())
+    if (const check::ExecutionRecorder *rec = sys.executionRecorder()) {
+        check::CheckOptions copt;
+        copt.requireSc = require_sc;
         r.checkVerdict =
-            check::verdictName(check::checkExecution(*rec).verdict);
-}
-
-ExperimentResult
-runCilkExperiment(const workloads::CilkApp &app, FenceDesign design,
-                  unsigned cores, Tick max_cycles,
-                  std::ostream *stats_out)
-{
-    std::string label = runLabel(app.name, design, cores);
-    beginRunTrace(label);
-    SystemConfig cfg = baseRunConfig(design, cores);
-    ExperimentResult r;
-    CacheFront cf;
-    if (cacheFrontBegin(cfg, label,
-                        format("budget %llu",
-                               (unsigned long long)max_cycles),
-                        stats_out, r, cf))
-        return r;
-    System sys(cfg);
-    auto setup = workloads::setupCilkApp(sys, app);
-
-    r.workload = app.name;
-    r.design = design;
-
-    auto result = sys.run(max_cycles);
-    r.cycles = sys.now();
-    harvestStats(sys, r);
-    if (stats_out)
-        sys.dumpStats(*stats_out);
-
-    if (result == System::RunResult::Watchdog) {
-        r.validationError = "livelock watchdog fired (no forward progress)";
-    } else if (result != System::RunResult::AllDone) {
-        r.validationError = "did not finish within the cycle budget";
-    } else if (r.tasks != setup.expectedTasks) {
-        r.validationError =
-            format("executed %llu tasks, expected %llu (SC violation or "
-                   "lost/duplicated task)",
-                   (unsigned long long)r.tasks,
-                   (unsigned long long)setup.expectedTasks);
-    } else {
-        r.valid = true;
+            check::verdictName(check::checkExecution(*rec, copt).verdict);
     }
-    recordRun(sys, r, cf);
-    return r;
 }
 
 namespace
 {
 
+/** What one workload family contributes to a run; runExperiment does
+ *  everything else. */
+struct Family
+{
+    /** ExperimentResult::workload, and the head of the run label. */
+    std::string workload;
+    /** Run identity outside SystemConfig: the ConfigKey's `extra`. */
+    std::string extra;
+    /** The System::run() limit. */
+    Tick budget = 0;
+    /** The budget is a cap the workload must finish within; false for
+     *  a measuring window (ustm throughput). */
+    bool mustFinish = true;
+    /** Record and check the execution whatever --check says (synth). */
+    bool forceCheck = false;
+    /** The execution verdict requires SC, not just TSO. */
+    bool requireSc = false;
+    /** Called on a cache miss before the System is built (synth
+     *  synthesizes here); `cache` is null unless this run may use it. */
+    std::function<void(service::ResultCache *cache)> prepare = {};
+    /** Install the workload on the fresh System. */
+    std::function<void(System &)> setup;
+    /** The family's validity check of a run that neither tripped the
+     *  watchdog nor overran a cap: "" when valid, else the reason. */
+    std::function<std::string(System &, const ExperimentResult &)> check;
+};
+
+/**
+ * The one run engine behind every runner: derive the config, check the
+ * cache, build and run the System, harvest, judge, record.
+ */
+ExperimentResult
+runExperiment(const SystemConfig &machine, const Family &f,
+              std::ostream *stats_out)
+{
+    // The host and observer fields come from the process-wide defaults.
+    SystemConfig cfg = machine;
+    cfg.fastForward = fastForwardEnabled();
+    cfg.directExec = directExecEnabled();
+    cfg.watchdogCycles = watchdogCyclesDefault();
+    cfg.fenceProfileRaw = !fenceProfilePath().empty();
+    cfg.checkExecution = f.forceCheck || checkExecutionEnabled();
+    cfg.statsInterval = statsIntervalDefault();
+
+    std::string label = runLabel(f.workload, cfg.design, cfg.numCores);
+    ASF_TRACE(beginRun(label));
+
+    // The cache front. Runs that need a live System on the side (a
+    // --stats dump, a raw fence profile, a Chrome trace) neither read
+    // nor fill the cache, so stored documents come from plain runs and
+    // a hit never loses side outputs. A hit splices the stored document
+    // into the log, with zero cycles simulated.
+    service::ResultCache *cache = service::activeResultCache();
+    bool eligible = cache && !stats_out && fenceProfilePath().empty() &&
+                    !Trace::get().enabled();
+    service::ConfigKey key;
+    size_t hb_job;
+    if (cache || activeHeartbeat(hb_job))
+        key = service::makeConfigKey(cfg, label, f.extra);
+    heartbeatBindRun(cfg, label, key.digest);
+    if (eligible) {
+        if (auto hit = cache->lookup(key)) {
+            deliverRunDoc(std::move(hit->doc));
+            hit->result.configDigest = key.digest;
+            return std::move(hit->result);
+        }
+    }
+    auto started = std::chrono::steady_clock::now();
+    if (f.prepare)
+        f.prepare(eligible ? cache : nullptr);
+
+    System sys(cfg);
+    f.setup(sys);
+    ExperimentResult r;
+    r.workload = f.workload;
+    r.design = cfg.design;
+
+    auto result = sys.run(f.budget);
+    r.cycles = sys.now();
+    harvestStats(sys, r, f.requireSc);
+    if (stats_out)
+        sys.dumpStats(*stats_out);
+
+    if (result == System::RunResult::Watchdog)
+        r.validationError = "livelock watchdog fired (no forward progress)";
+    else if (f.mustFinish && result != System::RunResult::AllDone)
+        r.validationError = "did not finish within the cycle budget";
+    else
+        r.validationError = f.check(sys, r);
+    r.valid = r.validationError.empty();
+    r.configDigest = key.digest;
+
+    appendFenceProfileRaw(sys);
+    // A capture sink (or the cache) wants the document even when no log
+    // file is set (the bytes may end up in a file chosen at merge time).
+    if (statsJsonPathRef().empty() && !runCaptureSink && !eligible)
+        return r;
+    std::string doc = runDocument(sys, r);
+    if (eligible)
+        cache->store(key, r, doc,
+                     std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - started)
+                         .count());
+    deliverRunDoc(std::move(doc));
+    return r;
+}
+
+SystemConfig
+defaultMachine(FenceDesign design, unsigned cores)
+{
+    SystemConfig m;
+    m.numCores = cores;
+    m.design = design;
+    return m;
+}
+
+std::string
+budgetText(Tick budget)
+{
+    return format("budget %llu", (unsigned long long)budget);
+}
+
 /** Shared TLRW validation: lock-protected increments must balance. */
-void
-validateTlrw(System &sys, const workloads::TlrwBench &bench,
-             const workloads::TlrwSetup &setup, bool exact,
-             ExperimentResult &r)
+std::string
+tlrwError(System &sys, const workloads::TlrwBench &bench,
+          const workloads::TlrwSetup &setup, bool exact,
+          const ExperimentResult &r)
 {
     uint64_t sum = workloads::sumTlrwData(sys, setup);
     uint64_t expect = uint64_t(bench.writesRw) * r.commitsRw;
@@ -618,54 +601,107 @@ validateTlrw(System &sys, const workloads::TlrwBench &bench,
     uint64_t slack =
         exact ? 0 : uint64_t(bench.writesRw) * sys.numCores();
     uint64_t lower = exact ? expect : 0;
-    if (sum < lower || sum > expect + slack) {
-        r.validationError = format(
-            "data sum %llu outside [%llu, %llu]: serializability broken",
-            (unsigned long long)sum, (unsigned long long)lower,
-            (unsigned long long)(expect + slack));
-    } else {
-        r.valid = true;
-    }
+    if (sum >= lower && sum <= expect + slack)
+        return "";
+    return format(
+        "data sum %llu outside [%llu, %llu]: serializability broken",
+        (unsigned long long)sum, (unsigned long long)lower,
+        (unsigned long long)(expect + slack));
 }
 
 } // namespace
+
+ExperimentResult
+runCilkExperiment(const workloads::CilkApp &app,
+                  const SystemConfig &machine, Tick max_cycles,
+                  std::ostream *stats_out)
+{
+    uint64_t expected = 0;
+    Family f{
+        .workload = app.name,
+        .extra = budgetText(max_cycles),
+        .budget = max_cycles,
+        .setup =
+            [&](System &sys) {
+                expected = workloads::setupCilkApp(sys, app).expectedTasks;
+            },
+        .check = [&](System &, const ExperimentResult &r) -> std::string {
+            if (r.tasks == expected)
+                return "";
+            return format("executed %llu tasks, expected %llu (SC "
+                          "violation or lost/duplicated task)",
+                          (unsigned long long)r.tasks,
+                          (unsigned long long)expected);
+        }};
+    return runExperiment(machine, f, stats_out);
+}
+
+ExperimentResult
+runCilkExperiment(const workloads::CilkApp &app, FenceDesign design,
+                  unsigned cores, Tick max_cycles,
+                  std::ostream *stats_out)
+{
+    return runCilkExperiment(app, defaultMachine(design, cores),
+                             max_cycles, stats_out);
+}
+
+ExperimentResult
+runUstmExperiment(const workloads::TlrwBench &bench,
+                  const SystemConfig &machine, Tick run_cycles,
+                  std::ostream *stats_out)
+{
+    workloads::TlrwSetup setup;
+    Family f{
+        .workload = bench.name,
+        .extra = budgetText(run_cycles),
+        .budget = run_cycles,
+        .mustFinish = false,
+        .setup =
+            [&](System &sys) {
+                setup = workloads::setupTlrwWorkload(sys, bench, 0);
+            },
+        // In-flight transactions may have performed their increments
+        // but not yet reached the commit mark, hence the per-thread
+        // slack.
+        .check = [&](System &sys, const ExperimentResult &r) {
+            return tlrwError(sys, bench, setup, false, r);
+        }};
+    return runExperiment(machine, f, stats_out);
+}
 
 ExperimentResult
 runUstmExperiment(const workloads::TlrwBench &bench, FenceDesign design,
                   unsigned cores, Tick run_cycles,
                   std::ostream *stats_out)
 {
-    std::string label = runLabel(bench.name, design, cores);
-    beginRunTrace(label);
-    SystemConfig cfg = baseRunConfig(design, cores);
-    ExperimentResult r;
-    CacheFront cf;
-    if (cacheFrontBegin(cfg, label,
-                        format("budget %llu",
-                               (unsigned long long)run_cycles),
-                        stats_out, r, cf))
-        return r;
-    System sys(cfg);
-    auto setup = workloads::setupTlrwWorkload(sys, bench, 0);
+    return runUstmExperiment(bench, defaultMachine(design, cores),
+                             run_cycles, stats_out);
+}
 
-    r.workload = bench.name;
-    r.design = design;
-
-    auto result = sys.run(run_cycles);
-    r.cycles = sys.now();
-    harvestStats(sys, r);
-    if (stats_out)
-        sys.dumpStats(*stats_out);
-    if (result == System::RunResult::Watchdog) {
-        r.validationError = "livelock watchdog fired (no forward progress)";
-        recordRun(sys, r, cf);
-        return r;
-    }
-    // In-flight transactions may have performed their increments but not
-    // yet reached the commit mark, hence the per-thread slack.
-    validateTlrw(sys, bench, setup, false, r);
-    recordRun(sys, r, cf);
-    return r;
+ExperimentResult
+runStampExperiment(const workloads::StampApp &app,
+                   const SystemConfig &machine, Tick max_cycles,
+                   std::ostream *stats_out)
+{
+    workloads::TlrwSetup setup;
+    Family f{
+        .workload = app.bench.name,
+        .extra = budgetText(max_cycles),
+        .budget = max_cycles,
+        .setup =
+            [&](System &sys) {
+                setup = workloads::setupTlrwWorkload(sys, app.bench,
+                                                     app.txnsPerThread);
+            },
+        .check = [&](System &sys, const ExperimentResult &r) -> std::string {
+            uint64_t expected = uint64_t(app.txnsPerThread) * sys.numCores();
+            if (r.commits != expected)
+                return format("committed %llu txns, expected %llu",
+                              (unsigned long long)r.commits,
+                              (unsigned long long)expected);
+            return tlrwError(sys, app.bench, setup, true, r);
+        }};
+    return runExperiment(machine, f, stats_out);
 }
 
 ExperimentResult
@@ -673,45 +709,8 @@ runStampExperiment(const workloads::StampApp &app, FenceDesign design,
                    unsigned cores, Tick max_cycles,
                    std::ostream *stats_out)
 {
-    std::string label = runLabel(app.bench.name, design, cores);
-    beginRunTrace(label);
-    SystemConfig cfg = baseRunConfig(design, cores);
-    ExperimentResult r;
-    CacheFront cf;
-    if (cacheFrontBegin(cfg, label,
-                        format("budget %llu",
-                               (unsigned long long)max_cycles),
-                        stats_out, r, cf))
-        return r;
-    System sys(cfg);
-    auto setup = workloads::setupTlrwWorkload(sys, app.bench,
-                                              app.txnsPerThread);
-
-    r.workload = app.bench.name;
-    r.design = design;
-
-    auto result = sys.run(max_cycles);
-    r.cycles = sys.now();
-    harvestStats(sys, r);
-    if (stats_out)
-        sys.dumpStats(*stats_out);
-
-    uint64_t expected_commits =
-        uint64_t(app.txnsPerThread) * sys.numCores();
-    if (result == System::RunResult::Watchdog) {
-        r.validationError = "livelock watchdog fired (no forward progress)";
-    } else if (result != System::RunResult::AllDone) {
-        r.validationError = "did not finish within the cycle budget";
-    } else if (r.commits != expected_commits) {
-        r.validationError =
-            format("committed %llu txns, expected %llu",
-                   (unsigned long long)r.commits,
-                   (unsigned long long)expected_commits);
-    } else {
-        validateTlrw(sys, app.bench, setup, true, r);
-    }
-    recordRun(sys, r, cf);
-    return r;
+    return runStampExperiment(app, defaultMachine(design, cores),
+                              max_cycles, stats_out);
 }
 
 ExperimentResult
@@ -720,87 +719,67 @@ runSynthExperiment(const std::string &kit, FenceDesign design,
                    std::ostream *stats_out)
 {
     analysis::CorpusEntry entry = analysis::buildCorpusEntry(kit);
-
     unsigned cores =
         unsigned(std::max<size_t>(4, entry.threads.size()));
-    std::string label = runLabel("synth:" + kit, design, cores);
-    beginRunTrace(label);
-    SystemConfig cfg = baseRunConfig(design, cores);
-    // The verdict is the point of a synth run; checking is not optional.
-    cfg.checkExecution = true;
-    // The cache check runs before synthesis/minimization on purpose: a
-    // hit saves the (deterministic) synthesis work too, not just the
-    // simulation.
-    ExperimentResult r;
-    CacheFront cf;
-    if (cacheFrontBegin(cfg, label,
-                        format("budget %llu minimize %d",
-                               (unsigned long long)max_cycles,
-                               minimize_placement ? 1 : 0),
-                        stats_out, r, cf))
-        return r;
-
-    analysis::SynthResult synth = analysis::synthesize(entry.threads);
-    std::vector<std::shared_ptr<const Program>> progs = synth.fenced;
-    if (minimize_placement) {
-        analysis::MinimizeOptions mopt = entry.minimizeOptions();
-        auto compute = [&] {
-            return analysis::minimize(synth, mopt).insertions;
-        };
-        // The minimizer never reads `design`, so an eligible run shares
-        // the kit's placement with the other designs' jobs.
-        Placement placed =
-            cf.eligible
-                ? cf.cache->placement(service::makePlacementKey(
-                                          kit, synth.insertions, mopt),
-                                      synth, compute)
-                : compute();
-        progs = analysis::applyPlacement(synth.input, placed);
-    }
-
-    System sys(cfg);
-    for (size_t t = 0; t < progs.size(); t++)
-        sys.loadProgram(NodeId(t), progs[t]);
-    if (entry.setup)
-        entry.setup(sys);
-
-    r.workload = "synth:" + kit;
-    r.design = design;
-
-    auto result = sys.run(max_cycles ? max_cycles : entry.maxCycles);
-    r.cycles = sys.now();
-    harvestStats(sys, r);
-    if (stats_out)
-        sys.dumpStats(*stats_out);
-
-    // Delay-set covered placements must look SC, not merely TSO
-    // (Shasha-Snir) - re-check with the kit's property mode and let
-    // that verdict replace harvestStats()'s default-TSO one.
-    std::string axiom;
-    if (const check::ExecutionRecorder *rec = sys.executionRecorder()) {
-        check::CheckOptions copt;
-        copt.requireSc =
-            entry.property == analysis::MinimizeProperty::ScEquivalence;
-        check::CheckResult cr = check::checkExecution(*rec, copt);
-        r.checkVerdict = check::verdictName(cr.verdict);
-        if (cr.verdict == check::Verdict::Violation)
-            axiom = cr.axiom;
-    }
-
-    if (result == System::RunResult::Watchdog) {
-        r.validationError = "livelock watchdog fired (no forward progress)";
-    } else if (result != System::RunResult::AllDone) {
-        r.validationError = "did not finish within the cycle budget";
-    } else if (!axiom.empty()) {
-        r.validationError =
-            format("axiomatic checker violation: %s", axiom.c_str());
-    } else if (entry.invariant && !entry.invariant(sys)) {
-        r.validationError = "functional invariant does not hold";
-    } else {
-        r.valid = true;
-    }
-    recordRun(sys, r, cf);
-    return r;
+    bool sc = entry.property == analysis::MinimizeProperty::ScEquivalence;
+    std::vector<std::shared_ptr<const Program>> progs;
+    Family f{
+        .workload = "synth:" + kit,
+        .extra = format("budget %llu minimize %d",
+                        (unsigned long long)max_cycles,
+                        minimize_placement ? 1 : 0),
+        .budget = max_cycles ? max_cycles : entry.maxCycles,
+        // The verdict is the point of a synth run; checking is not
+        // optional. Delay-set covered placements must look SC, not
+        // merely TSO (Shasha-Snir).
+        .forceCheck = true,
+        .requireSc = sc,
+        // Synthesis waits for the cache check on purpose: a hit saves
+        // the (deterministic) synthesis work too, not just the
+        // simulation.
+        .prepare =
+            [&](service::ResultCache *cache) {
+                analysis::SynthResult synth =
+                    analysis::synthesize(entry.threads);
+                progs = synth.fenced;
+                if (!minimize_placement)
+                    return;
+                analysis::MinimizeOptions mopt = entry.minimizeOptions();
+                auto compute = [&] {
+                    return analysis::minimize(synth, mopt).insertions;
+                };
+                // The minimizer never reads `design`, so a cached run
+                // shares the kit's placement with the other designs'.
+                Placement placed =
+                    cache ? cache->placement(
+                                service::makePlacementKey(
+                                    kit, synth.insertions, mopt),
+                                synth, compute)
+                          : compute();
+                progs = analysis::applyPlacement(synth.input, placed);
+            },
+        .setup =
+            [&](System &sys) {
+                for (size_t t = 0; t < progs.size(); t++)
+                    sys.loadProgram(NodeId(t), progs[t]);
+                if (entry.setup)
+                    entry.setup(sys);
+            },
+        .check = [&](System &sys, const ExperimentResult &r) -> std::string {
+            if (r.checkVerdict ==
+                check::verdictName(check::Verdict::Violation)) {
+                check::CheckOptions copt;
+                copt.requireSc = sc;
+                return format(
+                    "axiomatic checker violation: %s",
+                    check::checkExecution(*sys.executionRecorder(), copt)
+                        .axiom.c_str());
+            }
+            if (entry.invariant && !entry.invariant(sys))
+                return "functional invariant does not hold";
+            return "";
+        }};
+    return runExperiment(defaultMachine(design, cores), f, stats_out);
 }
 
 } // namespace asf::harness

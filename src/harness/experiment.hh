@@ -45,6 +45,10 @@ struct ExperimentResult
     double bsLinesPerWf = 0.0;
     uint64_t wPlusRecoveries = 0;
     uint64_t loadSquashes = 0;
+    /** Loads held because the Bypass Set was full, summed over cores
+     *  (the Bypass Set ablation). Kept in cache manifests so hits carry
+     *  it; not a field of the stats document. */
+    uint64_t bsFullHolds = 0;
 
     // Network traffic.
     uint64_t bytesBase = 0;
@@ -81,8 +85,22 @@ struct ExperimentResult
     double fencesPer1000Instr(uint64_t count) const;
 };
 
-/** Run one Cilk app to completion. `stats_out`, if set, receives a
- *  full System::dumpStats() dump before the system is torn down. */
+/**
+ * The experiment runners. Each builds a System from `machine` with the
+ * host and observer fields (fast-forward, direct execution, watchdog,
+ * fence profile, --check, stats interval) laid over it from the
+ * process-wide defaults below, checks the result cache, installs the
+ * workload, runs it, validates the functional result and records the
+ * stats document. `stats_out`, if set, receives a full
+ * System::dumpStats() dump before the system is torn down. The
+ * `(design, cores)` forms run the default machine.
+ */
+
+/** Run one Cilk app to completion. */
+ExperimentResult runCilkExperiment(const workloads::CilkApp &app,
+                                   const SystemConfig &machine,
+                                   Tick max_cycles = 30'000'000,
+                                   std::ostream *stats_out = nullptr);
 ExperimentResult runCilkExperiment(const workloads::CilkApp &app,
                                    FenceDesign design, unsigned cores,
                                    Tick max_cycles = 30'000'000,
@@ -90,11 +108,19 @@ ExperimentResult runCilkExperiment(const workloads::CilkApp &app,
 
 /** Run one ustm microbenchmark for a fixed cycle budget (throughput). */
 ExperimentResult runUstmExperiment(const workloads::TlrwBench &bench,
+                                   const SystemConfig &machine,
+                                   Tick run_cycles = 300'000,
+                                   std::ostream *stats_out = nullptr);
+ExperimentResult runUstmExperiment(const workloads::TlrwBench &bench,
                                    FenceDesign design, unsigned cores,
                                    Tick run_cycles = 300'000,
                                    std::ostream *stats_out = nullptr);
 
 /** Run one STAMP app to completion (fixed transactions per thread). */
+ExperimentResult runStampExperiment(const workloads::StampApp &app,
+                                    const SystemConfig &machine,
+                                    Tick max_cycles = 30'000'000,
+                                    std::ostream *stats_out = nullptr);
 ExperimentResult runStampExperiment(const workloads::StampApp &app,
                                     FenceDesign design, unsigned cores,
                                     Tick max_cycles = 30'000'000,
@@ -117,8 +143,10 @@ ExperimentResult runSynthExperiment(const std::string &kit,
                                     Tick max_cycles = 0,
                                     std::ostream *stats_out = nullptr);
 
-/** Shared post-run stat harvesting (exposed for tests). */
-void harvestStats(System &sys, ExperimentResult &r);
+/** Shared post-run stat harvesting (exposed for tests). The execution
+ *  verdict is taken under TSO, or under SC when `require_sc`. */
+void harvestStats(System &sys, ExperimentResult &r,
+                  bool require_sc = false);
 
 // --- observability ------------------------------------------------------
 /**
@@ -140,9 +168,6 @@ const std::string &statsJsonPath();
  * Flushed at normal process exit.
  */
 void setTracePath(const std::string &path);
-
-/** Rewrite the stats-JSON log now. No-op when no path is set. */
-void flushStatsJson();
 
 // --- sweep support ------------------------------------------------------
 /**
@@ -202,9 +227,9 @@ bool directExecEnabled();
 
 /**
  * Process-wide default for SystemConfig::watchdogCycles, consulted by
- * the experiment runners. 0 (library default) disables; the bench
- * binaries set a large value so a livelocked configuration aborts with
- * a diagnostic snapshot instead of burning the whole cycle budget.
+ * the experiment runners: 1,000,000 unless set, so a livelocked
+ * configuration aborts with a diagnostic snapshot instead of burning
+ * the whole cycle budget. 0 disables.
  */
 void setWatchdogCyclesDefault(Tick cycles);
 Tick watchdogCyclesDefault();
@@ -249,7 +274,6 @@ Tick statsIntervalDefault();
  * untouched. Lets one flag co-locate an entire campaign's artifacts.
  */
 void setObsDir(const std::string &dir);
-const std::string &obsDir();
 
 /** Apply the obs-dir policy above to `path` (exposed for the setters
  *  that live outside this file, e.g. setHeartbeatPath). */

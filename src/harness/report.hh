@@ -29,8 +29,6 @@ class Table
     /** Comma-separated rendering (header + rows). */
     void printCsv(std::ostream &os) const;
 
-    size_t numRows() const { return rows_.size(); }
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

@@ -84,14 +84,6 @@ class Mesh
      *  interval time-series relies on for stable per-link deltas. */
     const std::vector<uint64_t> &linkBusyRaw() const { return linkBusy_; }
 
-    /** Decode a raw link index into its grid node / direction. */
-    static NodeId linkNode(unsigned idx) { return NodeId(idx / 4); }
-    static char linkDir(unsigned idx)
-    {
-        static const char dir_char[4] = {'E', 'W', 'N', 'S'};
-        return dir_char[idx % 4];
-    }
-
   private:
     enum Dir { East, West, North, South, numDirs };
 

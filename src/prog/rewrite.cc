@@ -33,19 +33,6 @@ normalize(std::vector<FenceInsertion> ins)
 
 } // namespace
 
-uint64_t
-rewrittenPc(const std::vector<FenceInsertion> &sorted_unique,
-            uint64_t original_pc)
-{
-    uint64_t shift = 0;
-    for (const FenceInsertion &f : sorted_unique) {
-        if (f.beforePc > original_pc)
-            break;
-        shift++;
-    }
-    return original_pc + shift;
-}
-
 Program
 insertFences(const Program &p, std::vector<FenceInsertion> insertions)
 {

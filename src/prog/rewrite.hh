@@ -44,14 +44,6 @@ using Placement = std::vector<std::vector<FenceInsertion>>;
 Program insertFences(const Program &p,
                      std::vector<FenceInsertion> insertions);
 
-/**
- * Map a pc of the original program to their pc in the rewritten one
- * (the position of the same instruction, after all splices). Useful
- * for relating analysis results to the rewritten program.
- */
-uint64_t rewrittenPc(const std::vector<FenceInsertion> &sorted_unique,
-                     uint64_t original_pc);
-
 } // namespace asf
 
 #endif // ASF_PROG_REWRITE_HH

@@ -49,9 +49,13 @@ struct ConfigKey
 
 /**
  * Build the key for one run. `label` is the run label ("Hash/W+/8c");
- * `extra` carries run identity outside SystemConfig — cycle budget,
- * workload-setup knobs, synthesis options — one `name value` token
- * per item (the runners in src/harness/experiment.cc compose it).
+ * `extra` carries run identity outside SystemConfig — the cycle budget,
+ * and for synth runs the minimize option — one `name value` token per
+ * item (the run engine in src/harness/experiment.cc composes it). The
+ * workload's shape parameters (table sizes, task grain, transactions
+ * per thread) are NOT covered: two runs that share a label and a budget
+ * but shrink the workload differently share a key. The bench binaries
+ * therefore file their --quick runs under `<cache-dir>/quick`.
  *
  * Every SystemConfig field participates except the host-side telemetry
  * plumbing (progressSink/progressInterval), which cannot change

@@ -398,14 +398,4 @@ parseJson(std::string_view text, JsonValue &out, std::string &error)
     return Parser(text, error).parse(out);
 }
 
-JsonValue
-parseJsonOrDie(std::string_view text, const char *what)
-{
-    JsonValue v;
-    std::string error;
-    if (!parseJson(text, v, error))
-        fatal("malformed %s: %s", what, error.c_str());
-    return v;
-}
-
 } // namespace asf::service

@@ -90,9 +90,6 @@ class JsonValue
  */
 bool parseJson(std::string_view text, JsonValue &out, std::string &error);
 
-/** Parse, fatal() on error — for inputs the service itself wrote. */
-JsonValue parseJsonOrDie(std::string_view text, const char *what);
-
 } // namespace asf::service
 
 #endif // ASF_SERVICE_JSON_HH

@@ -51,6 +51,7 @@ writeResultJson(harness::JsonWriter &w,
     w.field("bsLinesPerWf", r.bsLinesPerWf);
     w.field("wPlusRecoveries", r.wPlusRecoveries);
     w.field("loadSquashes", r.loadSquashes);
+    w.field("bsFullHolds", r.bsFullHolds);
     w.field("bytesBase", r.bytesBase);
     w.field("bytesRetry", r.bytesRetry);
     w.field("bytesGrt", r.bytesGrt);
@@ -97,6 +98,7 @@ readResultJson(const JsonValue &v, harness::ExperimentResult &r)
     r.bsLinesPerWf = v["bsLinesPerWf"].asDouble();
     r.wPlusRecoveries = v["wPlusRecoveries"].asU64();
     r.loadSquashes = v["loadSquashes"].asU64();
+    r.bsFullHolds = v["bsFullHolds"].asU64();
     r.bytesBase = v["bytesBase"].asU64();
     r.bytesRetry = v["bytesRetry"].asU64();
     r.bytesGrt = v["bytesGrt"].asU64();

@@ -75,10 +75,4 @@ Rng::uniform()
     return (next() >> 11) * (1.0 / 9007199254740992.0);
 }
 
-bool
-Rng::chance(double p)
-{
-    return uniform() < p;
-}
-
 } // namespace asf

@@ -37,9 +37,6 @@ class Rng
     /** Uniform double in [0, 1). */
     double uniform();
 
-    /** Bernoulli draw with probability p of true. */
-    bool chance(double p);
-
   private:
     uint64_t state_;
 };

@@ -31,12 +31,6 @@ CycleBreakdown::otherSum() const
 }
 
 double
-CycleBreakdown::bucketFrac(StallBucket b) const
-{
-    return total() ? double(bucket(b)) / double(total()) : 0.0;
-}
-
-double
 CycleBreakdown::busyFrac() const
 {
     return active() ? double(busy) / double(active()) : 0.0;

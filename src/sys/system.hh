@@ -63,8 +63,6 @@ struct CycleBreakdown
     double busyFrac() const;
     double fenceFrac() const;
     double otherFrac() const;
-    /** Bucket share of total() (0 when total() is 0). */
-    double bucketFrac(StallBucket b) const;
 };
 
 class System

@@ -16,10 +16,14 @@ struct TraceFixture : ::testing::Test
     void SetUp() override { Trace::get().resetForTest(); }
     void TearDown() override { Trace::get().resetForTest(); }
 
+    /** One file per test: `ctest -j` runs the fixture's tests as
+     *  concurrent processes. */
     std::string
     tmpPath() const
     {
-        return testing::TempDir() + "asf_trace_test.json";
+        return testing::TempDir() + "asf_trace_" +
+               testing::UnitTest::GetInstance()->current_test_info()->name() +
+               ".json";
     }
 
     std::string

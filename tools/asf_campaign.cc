@@ -23,7 +23,9 @@
  *    "cores":8,"cycles":300000}
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -31,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hh"
+#include "harness/cli.hh"
 #include "harness/heartbeat.hh"
 #include "service/campaign.hh"
 #include "service/result_cache.hh"
@@ -39,46 +41,97 @@
 
 using namespace asf;
 using namespace asf::service;
+using asf::harness::Cli;
 
 namespace
 {
 
+/** Every command's options; each command's table fills its own. */
+struct Args
+{
+    std::string specs, name, cacheDir; ///< submit
+    RunOptions run;
+    std::string heartbeat; ///< run
+    bool json = false;     ///< status
+    ResultCache::GcOptions gc;
+};
+
+const char *const kCommands[] = {"submit", "run", "status", "merge", "gc"};
+
+/** The flag table of one command, its synopsis as the usage head. */
+Cli
+commandCli(const std::string &cmd, Args &a)
+{
+    if (cmd == "submit") {
+        Cli cli("asf_campaign submit DIR --specs FILE   create a campaign; "
+                "idempotent for an\n  identical job list");
+        cli.text("--specs", "FILE",
+                 "spec lines, one JSON object each ('-' reads stdin)",
+                 a.specs)
+            .text("--name", "NAME",
+                  "display name (default: DIR's basename)", a.name)
+            .text("--cache-dir", "D",
+                  "shared result cache (default DIR/cache)", a.cacheDir);
+        return cli;
+    }
+    if (cmd == "run") {
+        Cli cli("asf_campaign run DIR   execute the incomplete jobs");
+        cli.count("--jobs", "N", "host worker threads (default 1)",
+                  a.run.threads, 1, 4096)
+            .option("--shard", "i/N", "only run jobs with index % N == i",
+                    "i/N with i < N",
+                    [&a](const std::string &v) {
+                        unsigned i = 0, n = 0;
+                        int used = 0;
+                        if (std::sscanf(v.c_str(), "%u/%u%n", &i, &n,
+                                        &used) != 2 ||
+                            used != int(v.size()) || i >= n)
+                            return false;
+                        a.run.shardIndex = i;
+                        a.run.shardCount = n;
+                        return true;
+                    })
+            .text("--heartbeat", "PATH",
+                  "live JSONL telemetry (tools/sweep_status.py)",
+                  a.heartbeat)
+            .count("--abort-after", "N",
+                   "crash hook: stop after N jobs, leaving a dangling\n"
+                   "claim (resume testing)",
+                   a.run.abortAfter);
+        return cli;
+    }
+    if (cmd == "status") {
+        Cli cli("asf_campaign status DIR   completion + cache-hit summary");
+        cli.flag("--json", "the status as a JSON document", a.json);
+        return cli;
+    }
+    if (cmd == "merge")
+        return Cli("asf_campaign merge DIR OUT.json   write the "
+                   "schemaVersion-4 stats log");
+    Cli cli("asf_campaign gc DIR   prune the campaign's cache");
+    cli.flag("--current-binary", "drop entries from other binaries",
+             a.gc.currentFingerprintOnly)
+        .option("--max-age-days", "D", "drop entries older than D days",
+                "a number of days", [&a](const std::string &v) {
+                    char *end = nullptr;
+                    double d = std::strtod(v.c_str(), &end);
+                    if (v.empty() || *end || !(d >= 0))
+                        return false;
+                    a.gc.maxAgeDays = d;
+                    return true;
+                });
+    return cli;
+}
+
 [[noreturn]] void
 usage(int code)
 {
-    std::fprintf(
-        stderr,
-        "usage: asf_campaign COMMAND DIR [options]\n"
-        "  submit DIR --specs FILE   create a campaign from spec lines\n"
-        "                            (FILE '-' reads stdin); idempotent\n"
-        "                            for an identical job list\n"
-        "    --name NAME             display name (default: DIR's "
-        "basename)\n"
-        "    --cache-dir D           shared result cache (default "
-        "DIR/cache)\n"
-        "  run DIR                   execute the incomplete jobs\n"
-        "    --jobs N                host worker threads (default 1)\n"
-        "    --shard i/N             only run jobs with index%%N == i\n"
-        "    --heartbeat PATH        live JSONL telemetry "
-        "(tools/sweep_status.py)\n"
-        "    --abort-after N         crash hook: stop after N jobs, "
-        "leaving a\n"
-        "                            dangling claim (resume testing)\n"
-        "  status DIR [--json]       completion + cache-hit summary\n"
-        "  merge DIR OUT.json        write the schemaVersion-4 stats "
-        "log\n"
-        "  gc DIR                    prune the campaign's cache\n"
-        "    --current-binary        drop entries from other binaries\n"
-        "    --max-age-days D        drop entries older than D days\n");
+    Args a;
+    std::string text = "usage: asf_campaign COMMAND DIR [options]\n";
+    for (const char *cmd : kCommands)
+        text += commandCli(cmd, a).usage();
+    std::fputs(text.c_str(), stderr);
     std::exit(code);
-}
-
-const char *
-need(int argc, char **argv, int &i, const char *flag)
-{
-    if (i + 1 >= argc)
-        fatal("%s needs a value", flag);
-    return argv[++i];
 }
 
 Campaign
@@ -92,41 +145,28 @@ load(const std::string &dir)
 }
 
 int
-cmdSubmit(int argc, char **argv)
+cmdSubmit(const Args &a, const std::string &dir)
 {
-    std::string dir = argv[2];
-    std::string specs_file, name, cache_dir;
-    for (int i = 3; i < argc; i++) {
-        if (!std::strcmp(argv[i], "--specs"))
-            specs_file = need(argc, argv, i, "--specs");
-        else if (!std::strcmp(argv[i], "--name"))
-            name = need(argc, argv, i, "--name");
-        else if (!std::strcmp(argv[i], "--cache-dir"))
-            cache_dir = need(argc, argv, i, "--cache-dir");
-        else
-            usage(1);
-    }
-    if (specs_file.empty())
+    if (a.specs.empty())
         fatal("submit needs --specs FILE (or '-' for stdin)");
-
     std::vector<std::string> lines;
     auto slurp = [&](std::istream &in) {
         std::string line;
         while (std::getline(in, line))
             lines.push_back(line);
     };
-    if (specs_file == "-") {
+    if (a.specs == "-") {
         slurp(std::cin);
     } else {
-        std::ifstream f(specs_file);
+        std::ifstream f(a.specs);
         if (!f)
-            fatal("cannot read '%s'", specs_file.c_str());
+            fatal("cannot read '%s'", a.specs.c_str());
         slurp(f);
     }
 
     Campaign c;
     std::string error;
-    if (!submitCampaign(dir, lines, name, cache_dir, c, error))
+    if (!submitCampaign(dir, lines, a.name, a.cacheDir, c, error))
         fatal("%s", error.c_str());
     std::printf("campaign '%s': %zu jobs at %s (cache %s)\n",
                 c.name.c_str(), c.jobs.size(), c.dir.c_str(),
@@ -135,33 +175,11 @@ cmdSubmit(int argc, char **argv)
 }
 
 int
-cmdRun(int argc, char **argv)
+cmdRun(const Args &a, const std::string &dir)
 {
-    Campaign c = load(argv[2]);
-    RunOptions opt;
-    for (int i = 3; i < argc; i++) {
-        if (!std::strcmp(argv[i], "--jobs")) {
-            opt.threads = unsigned(std::atoi(need(argc, argv, i,
-                                                  "--jobs")));
-        } else if (!std::strcmp(argv[i], "--shard")) {
-            const char *v = need(argc, argv, i, "--shard");
-            unsigned idx = 0, count = 0;
-            if (std::sscanf(v, "%u/%u", &idx, &count) != 2 ||
-                count == 0 || idx >= count)
-                fatal("--shard wants i/N with i < N, got '%s'", v);
-            opt.shardIndex = idx;
-            opt.shardCount = count;
-        } else if (!std::strcmp(argv[i], "--heartbeat")) {
-            harness::setHeartbeatPath(need(argc, argv, i,
-                                           "--heartbeat"));
-        } else if (!std::strcmp(argv[i], "--abort-after")) {
-            opt.abortAfter =
-                size_t(std::atoll(need(argc, argv, i, "--abort-after")));
-        } else {
-            usage(1);
-        }
-    }
-
+    Campaign c = load(dir);
+    const RunOptions &opt = a.run;
+    harness::setHeartbeatPath(a.heartbeat);
     RunStats st = runCampaign(c, opt);
     std::printf("campaign '%s' shard %u/%u: %zu jobs, %zu already "
                 "done, %zu executed (%zu cache hits), %zu claimed "
@@ -178,11 +196,10 @@ cmdRun(int argc, char **argv)
 }
 
 int
-cmdStatus(int argc, char **argv)
+cmdStatus(const Args &a, const std::string &dir)
 {
-    Campaign c = load(argv[2]);
-    bool json = argc > 3 && !std::strcmp(argv[3], "--json");
-    if (json) {
+    Campaign c = load(dir);
+    if (a.json) {
         std::fputs(campaignStatusJson(c).c_str(), stdout);
         return 0;
     }
@@ -203,34 +220,22 @@ cmdStatus(int argc, char **argv)
 }
 
 int
-cmdMerge(int argc, char **argv)
+cmdMerge(const std::string &dir, const std::string &out)
 {
-    if (argc < 4)
-        usage(1);
-    Campaign c = load(argv[2]);
+    Campaign c = load(dir);
     std::string error;
-    if (!mergeCampaign(c, argv[3], error))
+    if (!mergeCampaign(c, out, error))
         fatal("%s", error.c_str());
-    std::printf("wrote %s (%zu runs)\n", argv[3], c.jobs.size());
+    std::printf("wrote %s (%zu runs)\n", out.c_str(), c.jobs.size());
     return 0;
 }
 
 int
-cmdGc(int argc, char **argv)
+cmdGc(const Args &a, const std::string &dir)
 {
-    Campaign c = load(argv[2]);
-    ResultCache::GcOptions opt;
-    for (int i = 3; i < argc; i++) {
-        if (!std::strcmp(argv[i], "--current-binary"))
-            opt.currentFingerprintOnly = true;
-        else if (!std::strcmp(argv[i], "--max-age-days"))
-            opt.maxAgeDays =
-                std::atof(need(argc, argv, i, "--max-age-days"));
-        else
-            usage(1);
-    }
+    Campaign c = load(dir);
     ResultCache cache(c.cacheDir);
-    ResultCache::GcStats st = cache.gc(opt);
+    ResultCache::GcStats st = cache.gc(a.gc);
     std::printf("gc %s: scanned %zu, removed %zu, orphans %zu, freed "
                 "%llu bytes, kept %llu bytes\n",
                 c.cacheDir.c_str(), st.scanned, st.removed, st.orphans,
@@ -245,22 +250,24 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    if (argc < 3) {
-        if (argc == 2 && (!std::strcmp(argv[1], "--help") ||
-                          !std::strcmp(argv[1], "-h")))
-            usage(0);
+    if (argc == 2 && (!std::strcmp(argv[1], "--help") ||
+                      !std::strcmp(argv[1], "-h")))
+        usage(0);
+    std::string cmd = argc > 1 ? argv[1] : "";
+    int first = cmd == "merge" ? 4 : 3; // merge also takes OUT.json
+    if (argc < first || std::find(std::begin(kCommands), std::end(kCommands),
+                                  cmd) == std::end(kCommands))
         usage(1);
-    }
-    std::string cmd = argv[1];
+    std::string dir = argv[2];
+    Args a;
+    commandCli(cmd, a).parse(argc, argv, first);
     if (cmd == "submit")
-        return cmdSubmit(argc, argv);
+        return cmdSubmit(a, dir);
     if (cmd == "run")
-        return cmdRun(argc, argv);
+        return cmdRun(a, dir);
     if (cmd == "status")
-        return cmdStatus(argc, argv);
+        return cmdStatus(a, dir);
     if (cmd == "merge")
-        return cmdMerge(argc, argv);
-    if (cmd == "gc")
-        return cmdGc(argc, argv);
-    usage(1);
+        return cmdMerge(dir, argv[3]);
+    return cmdGc(a, dir);
 }

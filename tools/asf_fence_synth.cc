@@ -19,12 +19,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "analysis/corpus.hh"
+#include "harness/cli.hh"
 #include "harness/report.hh"
 #include "sim/logging.hh"
 
@@ -44,83 +44,46 @@ struct Options
     bool disasm = false;
 };
 
-[[noreturn]] void
-usage(int code)
+void
+listKits()
 {
-    std::fprintf(
-        stderr,
-        "usage: asf_fence_synth --kit NAME [options]\n"
-        "  --kit NAME        corpus kit to synthesize for (--list)\n"
-        "  --list            list available kits\n"
-        "  --json PATH       write the machine-readable placement +\n"
-        "                    minimization report\n"
-        "  --profile PATH    fence-profile JSONL (asf_sim "
-        "--fence-profile);\n"
-        "                    dynamic fence counts pick the critical "
-        "thread\n"
-        "  --no-minimize     keep the raw static placement\n"
-        "  --weaken          also try flipping kept noncritical fences "
-        "to the\n"
-        "                    cheap critical flavor\n"
-        "  --disasm          print the fenced programs\n");
-    std::exit(code);
+    for (const std::string &n : corpusNames()) {
+        CorpusEntry e = buildCorpusEntry(n);
+        std::printf("%-10s %zu threads, %u hand fences - %s\n", n.c_str(),
+                    e.threads.size(), e.handFenceCount(),
+                    e.description.c_str());
+    }
 }
 
 Options
 parse(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; i++) {
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
-            return argv[++i];
-        };
-        auto eq_form = [&](const char *flag) -> const char * {
-            size_t n = std::strlen(flag);
-            if (!std::strncmp(argv[i], flag, n) && argv[i][n] == '=')
-                return argv[i] + n + 1;
-            return nullptr;
-        };
-        if (!std::strcmp(argv[i], "--kit"))
-            opt.kit = need("--kit");
-        else if (const char *v = eq_form("--kit"))
-            opt.kit = v;
-        else if (!std::strcmp(argv[i], "--json"))
-            opt.json = need("--json");
-        else if (const char *v = eq_form("--json"))
-            opt.json = v;
-        else if (!std::strcmp(argv[i], "--profile"))
-            opt.profile = need("--profile");
-        else if (const char *v = eq_form("--profile"))
-            opt.profile = v;
-        else if (!std::strcmp(argv[i], "--no-minimize"))
-            opt.minimize = false;
-        else if (!std::strcmp(argv[i], "--weaken"))
-            opt.weaken = true;
-        else if (!std::strcmp(argv[i], "--disasm"))
-            opt.disasm = true;
-        else if (!std::strcmp(argv[i], "--list")) {
-            for (const std::string &n : corpusNames()) {
-                CorpusEntry e = buildCorpusEntry(n);
-                std::printf("%-10s %zu threads, %u hand fences - %s\n",
-                            n.c_str(), e.threads.size(),
-                            e.handFenceCount(),
-                            e.description.c_str());
-            }
+    harness::Cli cli("usage: asf_fence_synth --kit NAME [options]", 2);
+    cli.text("--kit", "NAME", "corpus kit to synthesize for (--list)",
+             opt.kit)
+        .flag("--list", "list available kits", [] {
+            listKits();
             std::exit(0);
-        } else if (!std::strcmp(argv[i], "--help") ||
-                   !std::strcmp(argv[i], "-h")) {
-            usage(0);
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-            usage(2);
-        }
-    }
-    if (opt.kit.empty()) {
-        std::fprintf(stderr, "--kit is required\n");
-        usage(2);
-    }
+        })
+        .text("--json", "PATH",
+              "write the machine-readable placement +\n"
+              "minimization report",
+              opt.json)
+        .text("--profile", "PATH",
+              "fence-profile JSONL (asf_sim --fence-profile);\n"
+              "dynamic fence counts pick the critical thread",
+              opt.profile)
+        .flag("--no-minimize", "keep the raw static placement",
+              [&opt] { opt.minimize = false; })
+        .flag("--weaken",
+              "also try flipping kept noncritical fences to the\n"
+              "cheap critical flavor",
+              opt.weaken)
+        .flag("--disasm", "print the fenced programs", opt.disasm);
+    cli.parse(argc, argv);
+    if (opt.kit.empty())
+        cli.fail("--kit is required");
     return opt;
 }
 

@@ -13,16 +13,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "analysis/corpus.hh"
+#include "harness/cli.hh"
 #include "harness/experiment.hh"
-#include "harness/heartbeat.hh"
-#include "harness/report.hh"
 #include "harness/sweep.hh"
-#include "service/result_cache.hh"
 #include "service/spec.hh"
 #include "sim/logging.hh"
 
@@ -40,79 +37,12 @@ struct Options
     unsigned cores = 8;
     Tick cycles = 300'000; ///< budget (throughput) or cap (completion)
     bool allDesigns = false;
-    unsigned jobs = 1; ///< host worker threads for --all-designs
     bool csv = false;
     bool dumpStats = false;
-    std::string statsJson; ///< --stats-json path ("" = off)
-    std::string trace;     ///< --trace path ("" = off)
-    std::string fenceProfile; ///< --fence-profile JSONL path ("" = off)
-    std::string obsDir;    ///< --obs-dir: root for relative paths above
-    std::string heartbeat; ///< --heartbeat JSONL path ("" = off)
-    Tick statsInterval = 0; ///< --stats-interval N cycles (0 = off)
-    Tick watchdogCycles = 1'000'000; ///< livelock watchdog (0 = off)
     std::string synthKit;  ///< --synth kit name ("" = off)
     bool noMinimize = false; ///< --no-minimize: run the raw placement
-    std::string cacheDir;  ///< --cache-dir result cache root ("" = off)
+    RunFlags run;
 };
-
-[[noreturn]] void
-usage(int code)
-{
-    std::fprintf(
-        stderr,
-        "usage: asf_sim [options]\n"
-        "  --workload GROUP:NAME   cilk:<app> | ustm:<bench> | "
-        "stamp:<app>   (default ustm:Hash)\n"
-        "  --design D              S+ | WS+ | SW+ | W+ | Wee "
-        "(default S+)\n"
-        "  --all-designs           run every design and compare\n"
-        "  --cores N               number of cores (default 8)\n"
-        "  --cycles N              cycle budget (default 300000)\n"
-        "  --jobs N                host threads for --all-designs "
-        "(default 1)\n"
-        "  --no-fast-forward       tick every idle cycle (A/B check; "
-        "results are identical)\n"
-        "  --no-direct-exec        disable batched direct execution "
-        "(A/B check; results are identical)\n"
-        "  --stats                 dump per-core statistic counters\n"
-        "  --stats-json PATH       write the full stats report "
-        "(schemaVersion 4 JSON)\n"
-        "  --stats-interval N      sample the contention counters every "
-        "N cycles into a\n"
-        "                          `timeline` block of the stats JSON "
-        "(and the trace)\n"
-        "  --trace PATH            write a Chrome trace_event JSON "
-        "(chrome://tracing, Perfetto)\n"
-        "  --fence-profile PATH    dump raw per-fence lifecycle records "
-        "(JSON lines)\n"
-        "  --obs-dir DIR           resolve relative observability paths "
-        "(--stats-json,\n"
-        "                          --trace, --fence-profile, "
-        "--heartbeat) under DIR\n"
-        "  --heartbeat PATH        live sweep telemetry JSONL for "
-        "--all-designs\n"
-        "                          (tools/sweep_status.py renders it)\n"
-        "  --check                 record the execution and verify it "
-        "against the TSO +\n"
-        "                          fence-group axioms (verdict in the "
-        "stats JSON)\n"
-        "  --watchdog-cycles N     livelock watchdog window (default "
-        "1000000; 0 = off)\n"
-        "  --synth KIT             synthesize fences for a corpus kit "
-        "(overrides --workload;\n"
-        "                          asf_fence_synth --list names them), "
-        "then run + check it\n"
-        "  --cache-dir DIR         content-addressed result cache: a "
-        "repeated configuration\n"
-        "                          is served from DIR (byte-identical "
-        "stats) with zero\n"
-        "                          simulated cycles\n"
-        "  --no-minimize           with --synth, skip checker-guided "
-        "minimization\n"
-        "  --csv                   machine-readable output\n"
-        "  --list                  list available workloads\n");
-    std::exit(code);
-}
 
 void
 listWorkloads()
@@ -136,94 +66,42 @@ Options
 parse(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; i++) {
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
-            return argv[++i];
-        };
-        // "--flag=VALUE" form; returns nullptr when argv[i] is not it.
-        auto eq_form = [&](const char *flag) -> const char * {
-            size_t n = std::strlen(flag);
-            if (!std::strncmp(argv[i], flag, n) && argv[i][n] == '=')
-                return argv[i] + n + 1;
-            return nullptr;
-        };
-        if (!std::strcmp(argv[i], "--workload"))
-            opt.workload = need("--workload");
-        else if (!std::strcmp(argv[i], "--design"))
-            opt.design = parseFenceDesign(need("--design"));
-        else if (!std::strcmp(argv[i], "--all-designs"))
-            opt.allDesigns = true;
-        else if (!std::strcmp(argv[i], "--cores"))
-            opt.cores = unsigned(std::atoi(need("--cores")));
-        else if (!std::strcmp(argv[i], "--cycles"))
-            opt.cycles = Tick(std::atoll(need("--cycles")));
-        else if (!std::strcmp(argv[i], "--jobs"))
-            opt.jobs = unsigned(std::atoi(need("--jobs")));
-        else if (const char *v = eq_form("--jobs"))
-            opt.jobs = unsigned(std::atoi(v));
-        else if (!std::strcmp(argv[i], "--no-fast-forward"))
-            setFastForwardEnabled(false);
-        else if (!std::strcmp(argv[i], "--no-direct-exec"))
-            setDirectExecEnabled(false);
-        else if (!std::strcmp(argv[i], "--check"))
-            setCheckExecutionEnabled(true);
-        else if (!std::strcmp(argv[i], "--stats"))
-            opt.dumpStats = true;
-        else if (!std::strcmp(argv[i], "--stats-json"))
-            opt.statsJson = need("--stats-json");
-        else if (const char *v = eq_form("--stats-json"))
-            opt.statsJson = v;
-        else if (!std::strcmp(argv[i], "--trace"))
-            opt.trace = need("--trace");
-        else if (const char *v = eq_form("--trace"))
-            opt.trace = v;
-        else if (!std::strcmp(argv[i], "--fence-profile"))
-            opt.fenceProfile = need("--fence-profile");
-        else if (const char *v = eq_form("--fence-profile"))
-            opt.fenceProfile = v;
-        else if (!std::strcmp(argv[i], "--obs-dir"))
-            opt.obsDir = need("--obs-dir");
-        else if (const char *v = eq_form("--obs-dir"))
-            opt.obsDir = v;
-        else if (!std::strcmp(argv[i], "--heartbeat"))
-            opt.heartbeat = need("--heartbeat");
-        else if (const char *v = eq_form("--heartbeat"))
-            opt.heartbeat = v;
-        else if (!std::strcmp(argv[i], "--stats-interval"))
-            opt.statsInterval =
-                Tick(std::atoll(need("--stats-interval")));
-        else if (const char *v = eq_form("--stats-interval"))
-            opt.statsInterval = Tick(std::atoll(v));
-        else if (!std::strcmp(argv[i], "--watchdog-cycles"))
-            opt.watchdogCycles =
-                Tick(std::atoll(need("--watchdog-cycles")));
-        else if (const char *v = eq_form("--watchdog-cycles"))
-            opt.watchdogCycles = Tick(std::atoll(v));
-        else if (!std::strcmp(argv[i], "--synth"))
-            opt.synthKit = need("--synth");
-        else if (const char *v = eq_form("--synth"))
-            opt.synthKit = v;
-        else if (!std::strcmp(argv[i], "--no-minimize"))
-            opt.noMinimize = true;
-        else if (!std::strcmp(argv[i], "--cache-dir"))
-            opt.cacheDir = need("--cache-dir");
-        else if (const char *v = eq_form("--cache-dir"))
-            opt.cacheDir = v;
-        else if (!std::strcmp(argv[i], "--csv"))
-            opt.csv = true;
-        else if (!std::strcmp(argv[i], "--list")) {
+    Cli cli("usage: asf_sim [options]");
+    cli.text("--workload", "GROUP:NAME",
+             "cilk:APP | ustm:BENCH | stamp:APP (default ustm:Hash)",
+             opt.workload)
+        .option("--design", "D", "S+ | WS+ | SW+ | W+ | Wee (default S+)",
+                "one of S+ WS+ SW+ W+ Wee",
+                [&opt](const std::string &v) {
+                    auto d = tryParseFenceDesign(v);
+                    if (d)
+                        opt.design = *d;
+                    return d.has_value();
+                })
+        .flag("--all-designs", "run every design and compare",
+              opt.allDesigns)
+        .count("--cores", "N", "number of cores (default 8)", opt.cores, 1,
+               64)
+        .count("--cycles", "N",
+               "cycle budget (default 300000; a completion cap of 100x\n"
+               "that for cilk and stamp)",
+               opt.cycles)
+        .flag("--stats", "dump per-core statistic counters to stderr",
+              opt.dumpStats)
+        .text("--synth", "KIT",
+              "synthesize fences for a corpus kit and run + check it\n"
+              "(overrides --workload; asf_fence_synth --list names kits)",
+              opt.synthKit)
+        .flag("--no-minimize",
+              "with --synth, skip checker-guided minimization",
+              opt.noMinimize)
+        .flag("--csv", "machine-readable output", opt.csv)
+        .flag("--list", "list available workloads", [] {
             listWorkloads();
             std::exit(0);
-        } else if (!std::strcmp(argv[i], "--help") ||
-                   !std::strcmp(argv[i], "-h")) {
-            usage(0);
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-            usage(1);
-        }
-    }
+        });
+    addRunFlags(cli, opt.run);
+    cli.parse(argc, argv);
     return opt;
 }
 
@@ -298,35 +176,21 @@ main(int argc, char **argv)
 {
     setVerbose(false);
     Options opt = parse(argc, argv);
-    // Obs-dir first: the path setters below resolve against it.
-    if (!opt.obsDir.empty())
-        setObsDir(opt.obsDir);
-    if (!opt.statsJson.empty())
-        setStatsJsonPath(opt.statsJson);
-    if (!opt.trace.empty())
-        setTracePath(opt.trace);
-    if (!opt.fenceProfile.empty())
-        setFenceProfilePath(opt.fenceProfile);
-    if (!opt.heartbeat.empty())
-        setHeartbeatPath(opt.heartbeat);
-    setWatchdogCyclesDefault(opt.watchdogCycles);
-    setStatsIntervalDefault(opt.statsInterval);
-    if (!opt.cacheDir.empty())
-        service::setGlobalResultCacheDir(opt.cacheDir);
+    applyRunFlags(opt.run);
 
     if (opt.csv)
         std::printf("workload,design,cores,cycles,busy,otherStall,"
                     "fenceStall,commits,tasks,recoveries,status\n");
 
     if (opt.allDesigns) {
-        if (opt.dumpStats && opt.jobs > 1) {
+        if (opt.dumpStats && opt.run.jobs > 1) {
             warn("--stats writes to stderr as it runs; using 1 job");
-            opt.jobs = 1;
+            opt.run.jobs = 1;
         }
         std::vector<SweepJob> sweep;
         for (FenceDesign d : allFenceDesigns)
             sweep.push_back([&opt, d] { return runOne(opt, d); });
-        for (const ExperimentResult &r : runSweep(sweep, opt.jobs))
+        for (const ExperimentResult &r : runSweep(sweep, opt.run.jobs))
             printResult(opt, r);
     } else {
         printResult(opt, runOne(opt, opt.design));

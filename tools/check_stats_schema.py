@@ -30,7 +30,7 @@ batched cycles reported by the modes that cannot batch). Version-3
 reports additionally carry the observatory overhead measurement.
 
 The campaign service (src/service) adds three more document shapes
-and two end-to-end drivers:
+and four end-to-end drivers:
 
   --manifest PATH         validate one content-addressed cache
                           manifest (<digest>.manifest.json)
@@ -40,12 +40,19 @@ and two end-to-end drivers:
                           to be byte-identical to the cold one (the
                           cache must splice the stored document, not
                           re-simulate), then validate every manifest
-  --campaign <asf_campaign>
+  --campaign <asf_campaign> <asf_sim>
                           submit a small campaign, crash it mid-run
                           (--abort-after), resume, re-run warm, and
                           drain a fresh copy with two --shard workers;
                           every merged stats log must be byte-identical
-                          to the serial one
+                          to the serial one, and a one-job campaign's
+                          to asf_sim's for the same spec
+  --bench-cache <bench>   run a bench's --quick sweep cold then warm
+                          through --cache-dir: schema-valid documents,
+                          one per table row, all warm runs cache hits
+  --quick-namespace <bench>
+                          a full sweep after a --quick one into the
+                          same --cache-dir must match a fresh full sweep
 
 Usage: check_stats_schema.py <path-to-asf_sim>
        check_stats_schema.py --bench <path-to-BENCH_simcore.json>
@@ -53,7 +60,9 @@ Usage: check_stats_schema.py <path-to-asf_sim>
        check_stats_schema.py --manifest <manifest.json>
        check_stats_schema.py --campaign-status <status.json>
        check_stats_schema.py --cache <path-to-asf_sim>
-       check_stats_schema.py --campaign <path-to-asf_campaign>
+       check_stats_schema.py --campaign <asf_campaign> <asf_sim>
+       check_stats_schema.py --bench-cache <path-to-bench>
+       check_stats_schema.py --quick-namespace <path-to-bench>
 """
 
 import json
@@ -597,7 +606,7 @@ MANIFEST_RESULT_NUMBERS = ("cores", "cycles", "tasks", "steals",
                            "instrRetired", "fencesStrong", "fencesWeak",
                            "weeDemotions", "bouncedWrites",
                            "retriesPerBouncedWrite", "bsLinesPerWf",
-                           "wPlusRecoveries", "loadSquashes",
+                           "wPlusRecoveries", "loadSquashes", "bsFullHolds",
                            "bytesBase", "bytesRetry", "bytesGrt")
 
 
@@ -740,11 +749,70 @@ def check_cache_roundtrip(asf_sim):
           "manifests validated")
 
 
-def check_campaign_service(asf_campaign):
+def check_bench_cache(bench):
+    """A bench binary honours --stats-json and --cache-dir: a cold
+    --quick sweep writes one schema-valid stats document per table row,
+    stored under <cache-dir>/quick; a second sweep is all cache hits
+    (per its heartbeat) with a byte-identical log and table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+
+        def sweep(name):
+            table = run_ok([bench, "--quick", "--csv", "--jobs", "2",
+                            f"--cache-dir={tmp / 'cache'}",
+                            f"--stats-json={tmp / name}.json",
+                            f"--heartbeat={tmp / name}.jsonl"],
+                           f"{bench.name} {name} sweep")
+            rows = len(table.splitlines()) - 1
+            check_heartbeat(tmp / f"{name}.jsonl", expect_total=rows)
+            with open(tmp / f"{name}.jsonl") as f:
+                hits = [e["cacheHit"] for e in map(json.loads, f)
+                        if e.get("event") == "job-end"]
+            return table, (tmp / f"{name}.json").read_bytes(), hits
+
+        cold_table, cold_log, cold_hits = sweep("cold")
+        runs = json.loads(cold_log)["runs"]
+        expect(len(runs) == len(cold_hits) and not any(cold_hits),
+               f"{bench.name}: {len(cold_hits)} table rows, "
+               f"{len(runs)} stats documents, {sum(cold_hits)} cold hits")
+        for run in runs:
+            check_run(run)
+        expect(check_cache_dir(tmp / "cache" / "quick") == len(runs),
+               f"{bench.name}: no cache object per run under "
+               f"<cache-dir>/quick")
+        warm_table, warm_log, warm_hits = sweep("warm")
+        expect(all(warm_hits), f"{bench.name}: the warm sweep simulated")
+        expect(warm_log == cold_log and warm_table == cold_table,
+               f"{bench.name}: the warm log or table differs")
+    print(f"ok: {bench.name} cold/warm --cache-dir sweeps: {len(runs)} "
+          f"schema-valid documents, all warm runs cache hits, "
+          f"byte-identical logs and tables")
+
+
+def check_quick_cache_namespace(bench):
+    """A full sweep after a --quick one into the same --cache-dir prints
+    what a full sweep into a fresh cache prints: the cache key does not
+    cover workload shape, so --quick results are filed apart."""
+    with tempfile.TemporaryDirectory() as tmp:
+        def sweep(cache, *extra):
+            return run_ok([bench, "--csv", "--jobs", "4",
+                           f"--cache-dir={Path(tmp) / cache}", *extra],
+                          f"{bench.name} {' '.join(extra)} sweep")
+
+        sweep("shared", "--quick")
+        expect(sweep("shared") == sweep("fresh"),
+               f"{bench.name}: a full sweep after a --quick sweep into "
+               f"the same cache was served the quick results")
+    print(f"ok: {bench.name} full sweep after --quick matches a full "
+          f"sweep into a fresh cache")
+
+
+def check_campaign_service(asf_campaign, asf_sim):
     """End-to-end campaign protocol: crash-resume re-executes only the
     jobs without completion records, a warm re-run is 100% cache hits,
-    and two shard workers drain a fresh campaign to the same merged
-    bytes as the serial order."""
+    two shard workers drain a fresh campaign to the same merged bytes
+    as the serial order, and a campaign job's merged document is
+    byte-identical to asf_sim's for the same spec."""
     spec = ('{"workload":"ustm:Hash","designs":["S+","WS+","W+","Wee"],'
             '"cores":4,"cycles":30000}\n')
     with tempfile.TemporaryDirectory() as tmp:
@@ -820,8 +888,30 @@ def check_campaign_service(asf_campaign):
                "campaign: sharded merged log differs from serial")
         check_cache_dir(camp / "cache")
         check_cache_dir(camp2 / "cache")
-    print("ok: campaign crash-resume, warm re-run (100% hits), and "
-          "two-shard drain all byte-identical")
+
+        # One job, run by a campaign worker and by asf_sim: the same
+        # run defaults (the livelock watchdog among them) apply to
+        # both, so the documents are the same bytes.
+        one = tmp / "one.jsonl"
+        one.write_text('{"workload":"ustm:Hash","design":"W+",'
+                       '"cores":4,"cycles":30000}\n')
+        camp3 = tmp / "camp3"
+        run_ok([asf_campaign, "submit", camp3, "--specs", one],
+               "submit one-job campaign")
+        run_ok([asf_campaign, "run", camp3], "one-job run")
+        run_ok([asf_campaign, "merge", camp3, tmp / "one-campaign.json"],
+               "merge one-job campaign")
+        run_ok([asf_sim, "--workload", "ustm:Hash", "--design", "W+",
+                "--cores", "4", "--cycles", "30000",
+                f"--stats-json={tmp / 'one-sim.json'}"], "asf_sim run")
+        merged = (tmp / "one-campaign.json").read_bytes()
+        expect(b'"watchdog":{"cycles":1000000' in merged,
+               "campaign: job ran without the default livelock watchdog")
+        expect(merged == (tmp / "one-sim.json").read_bytes(),
+               "campaign: merged document differs from asf_sim's for "
+               "the same spec")
+    print("ok: campaign crash-resume, warm re-run (100% hits), "
+          "two-shard drain and asf_sim's document all byte-identical")
 
 
 def main():
@@ -855,17 +945,28 @@ def main():
         expect(sim.exists(), f"no such binary: {sim}")
         check_cache_roundtrip(sim)
         return
-    if len(sys.argv) == 3 and sys.argv[1] == "--campaign":
-        camp = Path(sys.argv[2])
-        expect(camp.exists(), f"no such binary: {camp}")
-        check_campaign_service(camp)
+    if len(sys.argv) == 3 and sys.argv[1] in ("--bench-cache",
+                                              "--quick-namespace"):
+        bench = Path(sys.argv[2])
+        expect(bench.exists(), f"no such binary: {bench}")
+        if sys.argv[1] == "--bench-cache":
+            check_bench_cache(bench)
+        else:
+            check_quick_cache_namespace(bench)
+        return
+    if len(sys.argv) == 4 and sys.argv[1] == "--campaign":
+        camp, sim = Path(sys.argv[2]), Path(sys.argv[3])
+        for binary in (camp, sim):
+            expect(binary.exists(), f"no such binary: {binary}")
+        check_campaign_service(camp, sim)
         return
     if len(sys.argv) != 2:
         fail(f"usage: {sys.argv[0]} <path-to-asf_sim> | "
              f"--bench <report.json> | --heartbeat <hb.jsonl> | "
              f"--manifest <manifest.json> | "
              f"--campaign-status <status.json> | "
-             f"--cache <asf_sim> | --campaign <asf_campaign>")
+             f"--cache <asf_sim> | --campaign <asf_campaign> <asf_sim> | "
+             f"--bench-cache <bench> | --quick-namespace <bench>")
     asf_sim = Path(sys.argv[1])
     expect(asf_sim.exists(), f"no such binary: {asf_sim}")
 

@@ -9,7 +9,8 @@ Subcommands:
 
   compare A B [--rtol metric=frac ...]
       Diff two stats-JSON logs (full logs or summaries). Runs are
-      matched by (workload, design, cores); every numeric metric and
+      paired by position, and both logs must list the same sequence of
+      (workload, design, cores) keys; every numeric metric and
       breakdown bucket must match within its tolerance. Checked runs
       (schemaVersion 3) also compare the execution verdict and the
       `check` block's counters (the witness subtree is skipped; only
@@ -36,7 +37,8 @@ Subcommands:
       high enough that a disabled or regressed burst path fails).
       This is the CTest perf smoke gate (tools.perf_smoke).
 
-Used by CTest as tools.stats_diff_fig10; regenerate the golden with:
+Used by CTest as tools.stats_diff_fig10 and tools.stats_diff_ablation_*;
+regenerate a golden with, e.g.:
   build/bench/fig10_ustm_breakdown --quick --stats-json /tmp/f.json
   tools/stats_diff.py summarize /tmp/f.json tests/golden/fig10_quick_summary.json
 """
@@ -179,18 +181,30 @@ def metric_rtol(path, rtols):
 
 
 def compare_docs(a_doc, b_doc, rtols, a_name="A", b_name="B"):
+    """Pair the two logs' runs by position (a sweep may repeat a
+    (workload, design, cores) key, e.g. one ablation config per
+    machine variant) and diff each pair. The logs must list the same
+    key sequence."""
     errors = []
-    a_runs = {run_key(r): summarize_run(r) for r in a_doc.get("runs", [])}
-    b_runs = {run_key(r): summarize_run(r) for r in b_doc.get("runs", [])}
-    for key in a_runs.keys() - b_runs.keys():
-        errors.append(f"run {key} only in {a_name}")
-    for key in b_runs.keys() - a_runs.keys():
-        errors.append(f"run {key} only in {b_name}")
+    a_runs = [summarize_run(r) for r in a_doc.get("runs", [])]
+    b_runs = [summarize_run(r) for r in b_doc.get("runs", [])]
+    a_keys = [run_key(r) for r in a_runs]
+    b_keys = [run_key(r) for r in b_runs]
+    if a_keys != b_keys:
+        i = next((i for i, (ka, kb) in enumerate(zip(a_keys, b_keys))
+                  if ka != kb), min(len(a_keys), len(b_keys)))
 
-    for key in sorted(a_runs.keys() & b_runs.keys(), key=str):
-        fa = flatten(a_runs[key])
-        fb = flatten(b_runs[key])
-        ctx = "/".join(str(k) for k in key)
+        def at(keys):
+            return keys[i] if i < len(keys) else "end of log"
+        errors.append(f"run sequences differ at run {i}: {a_name} has "
+                      f"{at(a_keys)}, {b_name} has {at(b_keys)} "
+                      f"({len(a_keys)} vs {len(b_keys)} runs)")
+        return errors
+
+    for i, (ra, rb) in enumerate(zip(a_runs, b_runs)):
+        fa = flatten(ra)
+        fb = flatten(rb)
+        ctx = f"run {i} " + "/".join(str(k) for k in a_keys[i])
         for path in sorted(fa.keys() | fb.keys()):
             if path.rsplit(".", 1)[-1] in HOST_ONLY:
                 continue
