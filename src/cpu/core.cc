@@ -96,12 +96,6 @@ Core::done() const
 void
 Core::tick()
 {
-    // Direct-execution debt: this cycle was already simulated (state
-    // and statistics included) by a directBurst; ticking it again would
-    // double-run it.
-    if (eq_.now() <= simulatedUntil_)
-        return;
-
     retiredThisCycle_ = 0;
     weeSerializeStall_ = false;
 
@@ -160,14 +154,14 @@ Core::addBreakdown(CycleBreakdown &b) const
 }
 
 // ---------------------------------------------------------------------
-// Fast-forward: quiescence mirrors
+// Per-core sleep: quiescence mirrors
 //
 // Each *Quiescent() helper is a const, side-effect-free image of the
 // corresponding tick stage: it returns false whenever the stage would
 // change any simulated state (beyond statistics), and lowers `wake` to
 // the earliest absolute tick at which the stage could act on its own.
 // Every time-gated condition contributes its deadline to `wake` rather
-// than returning false, so System::run can cap the jump precisely.
+// than returning false, so System::run can wake the core precisely.
 // ---------------------------------------------------------------------
 
 bool
@@ -374,14 +368,6 @@ bool
 Core::quiescent(Tick &wake) const
 {
     wake = maxTick;
-    if (simulatedUntil_ > eq_.now()) {
-        // Direct-execution debt: the cycles up to simulatedUntil_ are
-        // no-op ticks (already simulated), hence trivially skippable.
-        // The mirrors below must not run — they would read state that
-        // is already ahead of system time.
-        wake = simulatedUntil_ + 1;
-        return true;
-    }
     if (done())
         return true; // idle until an (impossible) external wake
     // Check order is free (pure conjunction); executeQuiescent goes
@@ -404,18 +390,6 @@ Core::skipCycles(uint64_t n)
     // never span it.)
     if (!n)
         return;
-    if (simulatedUntil_ > eq_.now()) {
-        // Direct-execution debt first: those cycles' statistics were
-        // recorded by the burst itself, so they are consumed silently.
-        // quiescent() caps any jump at simulatedUntil_ + 1, so the
-        // remainder past the debt is at most the one cycle a fresh
-        // quiescence walk approved.
-        uint64_t debt = uint64_t(simulatedUntil_ - eq_.now());
-        uint64_t consumed = std::min(n, debt);
-        n -= consumed;
-        if (!n)
-            return;
-    }
     if (done()) {
         hot_.idleCycles.inc(n);
         return;
@@ -424,8 +398,7 @@ Core::skipCycles(uint64_t n)
     if (!recovering_) {
         if (computeRemaining_ > 0) {
             if (n > computeRemaining_)
-                panic("core %d: fast-forward past compute-burst end",
-                      id_);
+                panic("core %d: slept past compute-burst end", id_);
             computeRemaining_ -= n;
             hot_.busyCycles.inc(n);
             return;
@@ -470,8 +443,6 @@ Core::directBurstable() const
 {
     if (!prog_ || thread_.halted() || !tsoOrder_)
         return false;
-    if (simulatedUntil_ > eq_.now())
-        return false; // debt pending: tick() no-ops, nothing to burst
     if (!fences_.empty() || recovering_ ||
         rmw_.phase != RmwPhase::Inactive || getSOutstanding_)
         return false;
@@ -836,7 +807,7 @@ Core::rollbackBurst()
 }
 
 void
-Core::flushBurst(Tick now, uint64_t commit)
+Core::flushBurst()
 {
     // Lazily-bound counters are incremented only when nonzero, so the
     // report keeps the exact shape of a cycle-exact run.
@@ -866,7 +837,6 @@ Core::flushBurst(Tick now, uint64_t commit)
         l1_.countStoreHits(burstStats_.l1StHits);
     for (const TouchRun &r : touchLog_)
         l1_.touchLineN(*r.l, r.n);
-    simulatedUntil_ = now + commit;
     lineUndo_.clear();
     touchLog_.clear();
     burstStats_ = BurstStats{};
@@ -881,7 +851,7 @@ Core::directCommit(Tick now, uint64_t commit)
         panic("core %d: commit %lu past burst length %lu", id_,
               (unsigned long)commit, (unsigned long)burstLen_);
     if (commit == burstLen_ && !burstDirty_) {
-        flushBurst(now, commit);
+        flushBurst();
         return;
     }
     rollbackBurst();
@@ -895,7 +865,7 @@ Core::directCommit(Tick now, uint64_t commit)
     if (r != commit || burstDirty_)
         panic("core %d: burst replay diverged (%lu of %lu)", id_,
               (unsigned long)r, (unsigned long)commit);
-    flushBurst(now, commit);
+    flushBurst();
 }
 
 // ---------------------------------------------------------------------

@@ -75,25 +75,27 @@ class Core
     void tick();
 
     /**
-     * Fast-forward protocol. Returns true when tick() would change
-     * nothing but the cycle-classification statistics this cycle and
-     * every following cycle until `wake` (exclusive): the core is
-     * stalled (or idle, or in a pure compute burst) with no internal
+     * Sleep protocol (System::run asks right after this core's tick).
+     * Returns true when, until a message reaches this core's L1 or GRT
+     * port, tick() would change nothing but the cycle-classification
+     * statistics at every cycle after now and before `wake`: the core
+     * is stalled (or idle, or in a pure compute burst) with no internal
      * deadline before then. `wake` is set to the earliest absolute tick
      * at which the core may act on its own — backoff expiry, drain-port
      * availability, L1-hit readiness, GRT recheck, deadlock-watchdog
      * deadline, or compute-burst end — or maxTick when it only waits on
-     * event-queue activity. Conservative: may report an inactive core
-     * as active (costing speed), never the reverse (which would change
-     * simulated timing).
+     * messages. Conservative: may report an inactive core as active
+     * (costing speed), never the reverse (which would change simulated
+     * timing).
      */
     bool quiescent(Tick &wake) const;
 
     /**
-     * Replay the statistics of `n` skipped quiescent cycles — exactly
-     * what n calls to tick() would have recorded, given quiescent()
-     * returned true and no event fired in between. Also retires the
-     * skipped portion of a compute burst.
+     * Replay the statistics of `n` slept cycles — exactly what n calls
+     * to tick() would have recorded, given quiescent() returned true
+     * and no message arrived in between. Also retires the slept portion
+     * of a compute burst. Replays are additive: k calls replay the same
+     * statistics as one call for their sum.
      */
     void skipCycles(uint64_t n);
 
@@ -101,11 +103,11 @@ class Core
      * Direct-execution protocol (see DESIGN.md "Run-loop arbitration").
      * True when the core's next cycles can be batch-interpreted by
      * directBurst: a bound, running TSO thread with no fences, RMW,
-     * store transactions, retry state, outstanding GetS, recovery, or
-     * pre-simulated debt in flight; the load unit at most waiting out an
-     * L1-hit latency; and no observation hooks (recorder/trace) that
-     * would timestamp events mid-burst. Conservative like quiescent():
-     * declining to burst is always correct.
+     * store transactions, retry state, outstanding GetS, or recovery
+     * in flight; the load unit at most waiting out an L1-hit latency;
+     * and no observation hooks (recorder/trace) that would timestamp
+     * events mid-burst. Conservative like quiescent(): declining to
+     * burst is always correct.
      */
     bool directBurstable() const;
 
@@ -126,9 +128,10 @@ class Core
      *
      * Caller contract (System::run): no queued event may fire and no
      * other core's message may arrive at or before `now + max_cycles`.
-     * The system guarantees it by bounding max_cycles at the next
-     * queued event and committing only the minimum progress over all
-     * cores — see DESIGN.md "Run-loop arbitration".
+     * The system guarantees it by bounding max_cycles before the next
+     * queued event and every sleeping core's wake, and committing only
+     * the minimum progress over the bursting cores — see DESIGN.md
+     * "Run-loop arbitration".
      */
     uint64_t directBurst(Tick now, uint64_t max_cycles);
 
@@ -139,10 +142,9 @@ class Core
      * the burst ran further than `commit` (another core in the round
      * advanced less) or aborted mid-cycle, the journal rolls all of it
      * back and the committed prefix is deterministically re-executed.
-     * After the call the core's state is that of tick()s through
-     * `now + commit`, and tick() calls at or before that time are
-     * no-ops (debt; see quiescent()/skipCycles()). commit == 0 is a
-     * pure rollback.
+     * After the call the core's state and statistics are those of
+     * tick()s through `now + commit`, so the caller's next tick of this
+     * core is at `now + commit + 1`. commit == 0 is a pure rollback.
      */
     void directCommit(Tick now, uint64_t commit);
 
@@ -404,15 +406,6 @@ class Core
      *  setProgram; a rewritten program is a new Program object). */
     TraceCache trace_;
 
-    /**
-     * Direct-execution debt: the last tick this core has already
-     * simulated ahead of system time. tick() calls at or before it are
-     * no-ops (state and statistics were advanced by directBurst);
-     * quiescent() reports the debt window as skippable with wake just
-     * past it, and skipCycles() consumes it without re-recording.
-     */
-    Tick simulatedUntil_ = 0;
-
     // --- direct-execution burst journal -------------------------------
     // A burst is a transaction over core-local state: directBurst
     // records everything needed to undo it, directCommit either keeps
@@ -478,8 +471,8 @@ class Core
     /** Roll every burst mutation back to the burst-entry snapshot. */
     void rollbackBurst();
     /** Flush the batched statistics and LRU touches of a fully kept
-     *  burst of `commit` cycles and set the debt horizon. */
-    void flushBurst(Tick now, uint64_t commit);
+     *  burst. */
+    void flushBurst();
     /** Count n occupancy samples of value v (v <= wb capacity). */
     void occAdd(unsigned v, uint64_t n) { occCount_[v] += n; }
     /** Log one LRU touch of `l`, merging consecutive repeats. */

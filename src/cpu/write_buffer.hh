@@ -186,14 +186,6 @@ class WriteBuffer
         highWater_ = s.highWater;
     }
 
-    /**
-     * Fast-forward protocol: the buffer is passive — it only mutates
-     * through its core's calls, whose timing the core's own quiescence
-     * mirror accounts for — so it never blocks an idle-cycle jump.
-     */
-    bool quiescent() const { return true; }
-    Tick nextWakeTick() const { return maxTick; }
-
   private:
     unsigned capacity_;
     std::deque<Entry> entries_;

@@ -47,15 +47,6 @@ class Mesh
     /** Hop count of the XY route between two nodes. */
     unsigned hopCount(NodeId from, NodeId to) const;
 
-    /**
-     * Fast-forward protocol: the mesh holds no self-timed state — every
-     * in-flight packet completes through the event queue, which the
-     * fast-forward path consults directly — so it never blocks an
-     * idle-cycle jump.
-     */
-    bool quiescent() const { return true; }
-    Tick nextWakeTick() const { return maxTick; }
-
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
 

@@ -13,10 +13,13 @@
  * *reads* counters that are maintained anyway, stores the results
  * host-side, and never schedules events or touches simulated state -
  * so cycles and all cumulative statistics are bit-identical with the
- * observatory on or off. Fast-forward and direct-execution jumps can
- * cross several interval boundaries at once; the sampler then emits one
- * merged sample spanning the whole elapsed range (each sample records
- * its actual [start, end] cycles) rather than ticking cycle-by-cycle.
+ * observatory on or off. Samples end where System::run lands: a
+ * fast-forward jump or direct-execution round can cross several
+ * interval boundaries at once, and the sampler then emits one merged
+ * sample spanning the whole elapsed range (each sample records its
+ * actual [start, end] cycles) rather than ticking cycle-by-cycle. So
+ * sample boundaries depend on the execution mode and per-metric totals
+ * do not; no golden file or digest pins a timeline.
  */
 
 #ifndef ASF_SIM_INTERVAL_STATS_HH

@@ -98,12 +98,15 @@ struct SystemConfig
     Tick storeDrainLatency = 2;
 
     /**
-     * Idle-cycle fast-forward: when every core reports quiescent (its
-     * next tick would change nothing but statistics), System::run jumps
-     * the clock to the next event or core wake tick instead of ticking
-     * through dead cycles. Host-side optimization only — simulated
-     * timing and statistics are bit-identical either way (enforced by
-     * tests/sys/test_fast_forward.cc). Off switch for A/B checks.
+     * Per-core sleep and idle-cycle fast-forward: a core whose next
+     * cycles would change nothing but statistics sleeps until its own
+     * next deadline or a message to its node, and System::run ticks
+     * only the cores that are due; when none is, the clock jumps to the
+     * next event, wake or watchdog check. Host-side optimization only —
+     * simulated timing and statistics are bit-identical either way
+     * (enforced by tests/sys/test_fast_forward.cc and
+     * test_core_sleep.cc). Off, every core ticks every cycle: the
+     * reference for A/B checks.
      */
     bool fastForward = true;
 
@@ -125,9 +128,11 @@ struct SystemConfig
      * cycle on any core) for this many cycles, it dumps a diagnostic
      * snapshot and returns RunResult::Watchdog instead of spinning to
      * the cycle budget. 0 disables (library default); the bench
-     * binaries and asf_sim turn it on. The check is throttled to once
-     * per window, so a hang is declared after between N and 2N quiet
-     * cycles.
+     * binaries and asf_sim turn it on. The check runs once per window,
+     * at the same ticks in every run-loop mode (jumps and bursts stop
+     * there), so a hang is declared after between N and 2N quiet
+     * cycles and a firing run's stats do not depend on fastForward or
+     * directExec.
      */
     Tick watchdogCycles = 0;
 

@@ -1,5 +1,6 @@
 #include "sys/system.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <iostream>
 
@@ -88,6 +89,7 @@ System::System(SystemConfig cfg) : cfg_(cfg)
             dispatch(id, msg);
         });
     }
+    clocks_.resize(cfg_.numCores);
 }
 
 Core &
@@ -147,6 +149,7 @@ System::dispatch(NodeId node, const Message &msg)
       case MsgType::NackCO:
       case MsgType::Inv:
       case MsgType::Dwngr:
+        wakeCore(node);
         l1s_[node]->handle(msg);
         return;
       case MsgType::GrtDeposit:
@@ -156,6 +159,7 @@ System::dispatch(NodeId node, const Message &msg)
         return;
       case MsgType::GrtFetchReply:
       case MsgType::GrtCheckReply:
+        wakeCore(node);
         cores_[node]->onGrtMessage(msg);
         return;
     }
@@ -214,27 +218,124 @@ System::handleGrtRequest(NodeId node, const Message &msg)
 bool
 System::allDone() const
 {
+    if (!eq_.empty())
+        return false;
     for (const auto &c : cores_)
         if (!c->done())
             return false;
-    return eq_.empty();
+    return true;
+}
+
+void
+System::catchUp(size_t i, Tick t)
+{
+    CoreClock &k = clocks_[i];
+    if (k.synced < t) {
+        cores_[i]->skipCycles(uint64_t(t - k.synced));
+        k.synced = t;
+    }
+}
+
+void
+System::syncCores()
+{
+    for (size_t i = 0; i < cores_.size(); i++)
+        catchUp(i, eq_.now());
+}
+
+void
+System::wakeCore(NodeId node)
+{
+    // Replay before the message lands, even when the core is due this
+    // tick anyway: the slept cycles charge the pre-message state.
+    catchUp(size_t(node), eq_.now() - 1);
+    CoreClock &k = clocks_[node];
+    k.wake = std::min(k.wake, eq_.now());
+}
+
+void
+System::tickCore(size_t i, Tick t)
+{
+    catchUp(i, t - 1);
+    Core &c = *cores_[i];
+    c.tick();
+    tickedCoreCycles_++;
+    CoreClock &k = clocks_[i];
+    k.synced = t;
+    Tick w = maxTick;
+    k.wake = cfg_.fastForward && c.quiescent(w) && w > t + 1 ? w : t + 1;
+}
+
+bool
+System::directRound(Tick horizon)
+{
+    // A round with less room than the minimum window costs more to
+    // snapshot and commit than ticking its cycles does.
+    static constexpr Tick kBurstWindowMin = 16;
+    static constexpr Tick kBurstWindowMax = 2048;
+    const Tick T = eq_.now();
+    if (horizon < T + kBurstWindowMin)
+        return false;
+    horizon = std::min(horizon, T + burstWindow_);
+    burstRound_.clear();
+    for (size_t i = 0; i < cores_.size(); i++) {
+        if (clocks_[i].wake > T + 1)
+            continue;
+        if (!cores_[i]->directBurstable())
+            return false;
+        burstRound_.push_back(i);
+    }
+    // A burst starts from the core's state at T, so the cycles it slept
+    // before T must be charged to that state first.
+    for (size_t i : burstRound_)
+        catchUp(i, T);
+    // Each core bursts at most as far as the round can still commit;
+    // the bursts are core-local, so their order does not matter.
+    const uint64_t W = uint64_t(horizon - T);
+    uint64_t commit = W;
+    size_t burst = 0;
+    for (; burst < burstRound_.size() && commit > 0; burst++)
+        commit = std::min<uint64_t>(
+            commit, cores_[burstRound_[burst]]->directBurst(T, commit));
+    for (size_t j = 0; j < burst; j++)
+        cores_[burstRound_[j]]->directCommit(T, commit);
+    if (commit == 0) {
+        burstWindow_ = kBurstWindowMin;
+        return false;
+    }
+    for (size_t i : burstRound_)
+        clocks_[i] = {T + commit + 1, T + commit};
+    eq_.setNow(T + commit);
+    directExecutedCycles_ += commit;
+    burstWindow_ = commit == W ? std::min(burstWindow_ * 2, kBurstWindowMax)
+                               : std::max(Tick(commit), kBurstWindowMin);
+    return true;
 }
 
 System::RunResult
 System::run(Tick max_cycles)
 {
-    Tick end = eq_.now() + max_cycles;
+    const Tick end = eq_.now() + max_cycles;
+    // Every core starts due: between run() calls the caller may have
+    // changed a sleeper's program, registers or memory.
+    for (CoreClock &k : clocks_)
+        k.wake = eq_.now() + 1;
     // Livelock watchdog: declare a hang when a full window of
     // watchdogCycles passes without any core making forward progress.
-    // The check is a Tick comparison per iteration plus one progress
-    // sweep per window, so the effective timeout lands between N and 2N.
+    // Every jump and burst stops at the next check tick, so checks land
+    // on the same ticks in every mode and a hang is declared after
+    // between N and 2N quiet cycles.
     const Tick wd = cfg_.watchdogCycles;
     uint64_t wd_progress = wd ? progressCount() : 0;
     Tick wd_check_at = wd ? eq_.now() + wd : maxTick;
+    RunResult result = RunResult::MaxCycles;
     while (eq_.now() < end) {
-        if (allDone())
-            return RunResult::AllDone;
+        if (allDone()) {
+            result = RunResult::AllDone;
+            break;
+        }
         if (eq_.now() >= wd_check_at) {
+            syncCores();
             uint64_t p = progressCount();
             if (p == wd_progress) {
                 watchdogFired_ = true;
@@ -248,11 +349,13 @@ System::run(Tick max_cycles)
             wd_check_at = eq_.now() + wd;
         }
         // Contention observatory: close any interval boundary the clock
-        // reached (a fast-forward or direct-exec jump across several
+        // reached (a jump or direct-exec round across several
         // boundaries yields one merged sample). Read-only and
         // host-side, like the watchdog check above.
-        if (intervals_ && eq_.now() >= intervals_->nextAt())
+        if (intervals_ && eq_.now() >= intervals_->nextAt()) {
+            syncCores();
             sampleInterval();
+        }
         // Live telemetry: publish the current cycle to the heartbeat
         // sink (a relaxed atomic store; nothing simulated reads it).
         if (cfg_.progressSink && eq_.now() >= progressNextAt_) {
@@ -262,152 +365,57 @@ System::run(Tick max_cycles)
                 eq_.now() + std::max<Tick>(cfg_.progressInterval, 1);
         }
 
+        // Run-loop arbitration (DESIGN.md "Run-loop arbitration"). A
+        // core sleeps while its cycles can only charge a stall bucket
+        // (tickCore); only the due cores tick. With no core due and no
+        // event due, the clock jumps to the first tick where anything
+        // can happen. When every due core is burstable, a
+        // direct-execution round runs them ahead together, short of
+        // every sleeper's wake. All of it is host-side only: simulated
+        // timing and statistics are bit-identical to ticking through.
         Tick next = eq_.now() + 1;
-
-        if ((cfg_.fastForward || cfg_.directExec) && next >= ffResumeAt_) {
-            // Run-loop arbitration between the three execution modes
-            // (see DESIGN.md "Run-loop arbitration"):
-            //  - cores in a compute-bound region batch-interpret their
-            //    next cycles directly (Core::directBurst) as one
-            //    speculative transaction per core, which the round
-            //    then commits to the minimum progress across cores
-            //    (Core::directCommit);
-            //  - quiescent cores have the skipped cycles' statistics
-            //    replayed in bulk (Core::skipCycles), jumping as far as
-            //    the next queued event or core wake deadline when no
-            //    core is bursting;
-            //  - any active core drops the whole round back to
-            //    cycle-exact ticking.
-            // All of it is host-side only: simulated timing and
-            // statistics are bit-identical to ticking through.
-            //
-            // Host-side throttles keep the classification walk off the
-            // hot path when it cannot pay for itself (declining a
-            // round is always correct): events due within kMinGap
-            // cycles make the jump cheaper to tick through, and a
-            // failed or unprofitable walk backs off adaptively — a
-            // compute-bound phase without direct execution would
-            // otherwise re-walk forever for 1-cycle jumps.
-            static constexpr Tick kMinGap = 2;
-            static constexpr Tick kBackoffMin = 8;
-            static constexpr Tick kBackoffMax = 256;
-            static constexpr Tick kBurstWindowMin = 16;
-            static constexpr Tick kBurstWindowMax = 2048;
-            bool committed = false;
-            bool attempted = false;
-            Tick target = std::min(eq_.nextEventTick(), end);
-            if (target >= next + kMinGap && mesh_->quiescent()) {
-                attempted = true;
-                const Tick T = eq_.now();
-                Tick wake = maxTick;
-                bool all_passive = true;
-                bool any_burst = false;
-                for (auto &c : cores_) {
-                    if (cfg_.directExec && c->directBurstable()) {
-                        any_burst = true;
-                        continue;
-                    }
-                    Tick w;
-                    if (!c->quiescent(w)) {
-                        all_passive = false;
-                        break;
-                    }
-                    wake = std::min(wake, w);
-                    wake = std::min(wake,
-                                    c->writeBuffer().nextWakeTick());
-                }
-                if (all_passive && any_burst) {
-                    // Direct-execution round: every eligible core
-                    // bursts speculatively up to a shared window, then
-                    // the round commits the *minimum* progress and
-                    // rolls the rest back (Core::directCommit), so
-                    // cores leave the round fully synchronized at
-                    // T+commit. No message can be missed inside the
-                    // committed span — bursts end before any send,
-                    // quiescent cores cap it at their wake deadline,
-                    // and queued events stay out via target — which
-                    // makes the window a pure host-side tuning knob:
-                    // it doubles after a fully committed round and
-                    // shrinks to the achieved length after a partial
-                    // one.
-                    Tick horizon = std::min(T + burstWindow_,
-                                            target - 1);
-                    if (wake != maxTick)
-                        horizon = wake <= T + 1
-                                      ? T
-                                      : std::min(horizon, wake - 1);
-                    if (horizon > T) {
-                        uint64_t W = uint64_t(horizon - T);
-                        burstRound_.clear();
-                        for (auto &c : cores_)
-                            if (cfg_.directExec && c->directBurstable())
-                                burstRound_.push_back(c.get());
-                        uint64_t commit = W;
-                        for (Core *c : burstRound_)
-                            commit = std::min<uint64_t>(
-                                commit, c->directBurst(T, W));
-                        for (Core *c : burstRound_)
-                            c->directCommit(T, commit);
-                        if (commit > 0) {
-                            // Quiescent cores replay the committed
-                            // cycles' statistics; bursting cores
-                            // already recorded theirs (skipCycles
-                            // consumes their debt silently).
-                            for (auto &c : cores_)
-                                c->skipCycles(commit);
-                            eq_.setNow(T + commit);
-                            directExecutedCycles_ += commit;
-                            committed = true;
-                            ffBackoff_ = kBackoffMin;
-                            burstWindow_ =
-                                commit == W
-                                    ? std::min(burstWindow_ * 2,
-                                               kBurstWindowMax)
-                                    : std::max(Tick(commit),
-                                               kBurstWindowMin);
-                            continue;
-                        }
-                        burstWindow_ = kBurstWindowMin;
-                    }
-                } else if (all_passive && cfg_.fastForward) {
-                    // Pure fast-forward: jump the clock to the earliest
-                    // tick where anything can happen — the next queued
-                    // event or a core's own wake deadline — when the
-                    // jump clears at least kMinGap (1-cycle jumps cost
-                    // more than they save).
-                    target = std::min(target, wake);
-                    if (target >= next + kMinGap) {
-                        // Ticks at `next` .. `target - 1` are skipped;
-                        // the first real tick happens at `target`.
-                        Tick skipped = target - next;
-                        for (auto &c : cores_)
-                            c->skipCycles(skipped);
-                        eq_.setNow(target - 1);
-                        fastForwardedCycles_ += skipped;
-                        next = target;
-                        committed = true;
-                        ffBackoff_ = kBackoffMin;
-                    }
-                }
+        if (cfg_.fastForward || cfg_.directExec) {
+            Tick sleep_until = maxTick;
+            bool any_due = false;
+            for (const CoreClock &k : clocks_) {
+                if (k.wake <= next)
+                    any_due = true;
+                else
+                    sleep_until = std::min(sleep_until, k.wake);
             }
-            if (attempted && !committed) {
-                ffResumeAt_ = next + ffBackoff_;
-                ffBackoff_ = std::min(ffBackoff_ * 2, kBackoffMax);
+            const Tick ev = eq_.nextEventTick();
+            if (!any_due) {
+                if (ev > next) {
+                    Tick target =
+                        std::min({ev, sleep_until, end, wd_check_at});
+                    fastForwardedCycles_ += target - next;
+                    next = target;
+                }
+            } else if (cfg_.directExec &&
+                       directRound(std::min({ev - 1, end - 1, wd_check_at,
+                                             sleep_until - 1}))) {
+                continue;
             }
         }
 
-        // Cheap precursor independent of fast-forward: only walk the
-        // event heap when an event is actually due this cycle.
+        // Cheap precursor: only walk the event heap when an event is
+        // actually due this cycle. Events may wake sleepers.
         if (eq_.nextEventTick() <= next)
             eq_.runUntil(next);
         else
             eq_.setNow(next);
-        for (auto &c : cores_)
-            c->tick();
-        if (Trace::get().enabled() && eq_.now() >= traceNextCpiAt_)
+        for (size_t i = 0; i < cores_.size(); i++)
+            if (clocks_[i].wake <= next)
+                tickCore(i, next);
+        if (Trace::get().enabled() && eq_.now() >= traceNextCpiAt_) {
+            syncCores();
             sampleCpiCounters();
+        }
     }
-    return allDone() ? RunResult::AllDone : RunResult::MaxCycles;
+    syncCores();
+    if (result == RunResult::MaxCycles && allDone())
+        result = RunResult::AllDone;
+    return result;
 }
 
 uint64_t

@@ -3,7 +3,8 @@
  * The full simulated machine: cores, private L1s, shared banked L2,
  * distributed directory, GRT modules (for WeeFence), and the mesh, all
  * driven by one deterministic event queue with a synchronous per-cycle
- * core tick. This is the library's primary public entry point.
+ * tick of the cores that are due. This is the library's primary public
+ * entry point.
  */
 
 #ifndef ASF_SYS_SYSTEM_HH
@@ -123,11 +124,19 @@ class System
     Tick now() const { return eq_.now(); }
 
     /**
-     * Cycles the fast-forward path skipped ticking (host-side metric;
-     * deliberately not part of the stats dump, which stays identical
-     * with fast-forward on or off).
+     * Cycles the clock jumped because every core slept and no event was
+     * due (host-side metric; deliberately not part of the stats dump,
+     * which stays identical with fast-forward on or off).
      */
     uint64_t fastForwardedCycles() const { return fastForwardedCycles_; }
+
+    /**
+     * Core::tick calls that simulated a cycle, summed over cores
+     * (host-side metric like fastForwardedCycles). cycles x cores when
+     * fast-forward and direct execution are off; per-core sleep and
+     * direct-execution rounds keep it below that.
+     */
+    uint64_t tickedCoreCycles() const { return tickedCoreCycles_; }
 
     /**
      * Cycles committed by direct-execution rounds (host-side metric
@@ -192,6 +201,19 @@ class System
     void dispatch(NodeId node, const Message &msg);
     void handleGrtRequest(NodeId node, const Message &msg);
     bool allDone() const;
+
+    /** Replay core i's slept cycles up to and including tick t. */
+    void catchUp(size_t i, Tick t);
+    /** Bring every sleeper up to now, for a reader outside the loop. */
+    void syncCores();
+    /** A message reached core `node`: replay its slept cycles before
+     *  the message changes its state, and make it due this tick. */
+    void wakeCore(NodeId node);
+    /** Tick core i at t, then put it to sleep if it may. */
+    void tickCore(size_t i, Tick t);
+    /** Run one direct-execution round over the due cores, committing at
+     *  most up to `horizon`. Returns false when it committed nothing. */
+    bool directRound(Tick horizon);
 
     /** System-wide forward-progress metric for the watchdog: any
      *  retired instruction, drained store, or busy cycle counts. */
@@ -279,22 +301,22 @@ class System
     std::vector<CycleBreakdown> traceCpiPrev_;
     uint64_t fastForwardedCycles_ = 0;
     uint64_t directExecutedCycles_ = 0;
-    /** Next tick worth re-attempting the quiescence walk after a core
-     *  reported busy (host-side throttle; see System::run). */
-    Tick ffResumeAt_ = 0;
-    /** Adaptive retry distance for ffResumeAt_: doubles after every
-     *  walk that fails or cannot pay for itself (a compute-bound phase
-     *  makes them all useless), resets once a jump or a direct-exec
-     *  round actually commits cycles. */
-    Tick ffBackoff_ = 8;
+    uint64_t tickedCoreCycles_ = 0;
+    /** Per-core run-loop clock (host-side; see System::run). */
+    struct CoreClock
+    {
+        Tick wake = 1;   ///< next tick the core is due to tick
+        Tick synced = 0; ///< last tick its statistics account for
+    };
+    std::vector<CoreClock> clocks_;
     /** Adaptive direct-execution window: doubles after every round
      *  that commits its full window, shrinks to the achieved length
-     *  after a partial one (see System::run). Host-side tuning only —
-     *  rounds commit the minimum progress and roll the rest back, so
-     *  the window never changes simulated behavior. */
+     *  after a partial one (see System::directRound). Host-side tuning
+     *  only — rounds commit the minimum progress and roll the rest
+     *  back, so the window never changes simulated behavior. */
     Tick burstWindow_ = 64;
     /** Scratch list of the cores bursting in the current round. */
-    std::vector<Core *> burstRound_;
+    std::vector<size_t> burstRound_;
 };
 
 } // namespace asf

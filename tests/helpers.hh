@@ -30,6 +30,31 @@ smallConfig(FenceDesign design = FenceDesign::SPlus, unsigned cores = 4)
     return cfg;
 }
 
+/** One setting of System::run's host-side switches. Every mode must
+ *  produce the same simulated history; `reference` ticks every core
+ *  every cycle. */
+struct RunLoopMode
+{
+    const char *name;
+    bool fastForward;
+    bool directExec;
+};
+
+inline constexpr RunLoopMode runLoopModes[] = {
+    {"default", true, true},
+    {"no-fast-forward", false, true},
+    {"no-direct-exec", true, false},
+    {"reference", false, false},
+};
+
+inline SystemConfig
+withMode(SystemConfig cfg, const RunLoopMode &m)
+{
+    cfg.fastForward = m.fastForward;
+    cfg.directExec = m.directExec;
+    return cfg;
+}
+
 inline std::shared_ptr<const Program>
 share(Program p)
 {
