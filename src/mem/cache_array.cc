@@ -30,6 +30,7 @@ CacheArray::CacheArray(unsigned size_bytes, unsigned assoc) : assoc_(assoc)
     if ((numSets_ & (numSets_ - 1)) != 0)
         fatal("cache set count %u not a power of two", numSets_);
     lines_.resize(num_lines);
+    tags_.resize(num_lines);
 }
 
 unsigned
@@ -41,11 +42,11 @@ CacheArray::setIndex(Addr line_addr) const
 CacheLine *
 CacheArray::find(Addr line_addr)
 {
-    unsigned set = setIndex(line_addr);
-    for (unsigned w = 0; w < assoc_; w++) {
-        CacheLine &l = lines_[size_t(set) * assoc_ + w];
-        if (l.valid() && l.addr == line_addr)
-            return &l;
+    size_t base = size_t(setIndex(line_addr)) * assoc_;
+    for (size_t i = base; i < base + assoc_; i++) {
+        // An invalid way may keep a stale tag: keep scanning past it.
+        if (tags_[i] == line_addr && lines_[i].valid())
+            return &lines_[i];
     }
     return nullptr;
 }
@@ -99,6 +100,7 @@ CacheArray::install(CacheLine &slot, Addr line_addr, MesiState state,
     if (!isLineAligned(line_addr))
         panic("install: unaligned %#llx", (unsigned long long)line_addr);
     slot.addr = line_addr;
+    tags_[size_t(&slot - lines_.data())] = line_addr;
     slot.state = state;
     slot.data = data;
     touch(slot);

@@ -98,6 +98,9 @@ class CacheArray
     unsigned assoc_;
     unsigned numSets_;
     std::vector<CacheLine> lines_;
+    /** lines_[i].addr, packed so find() scans a set's tags in one row;
+     *  install() is the only writer of either. */
+    std::vector<Addr> tags_;
     uint64_t lruClock_ = 0;
 };
 

@@ -1,5 +1,8 @@
 #include "mem/directory.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "check/recorder.hh"
 #include "mem/address.hh"
 #include "sim/logging.hh"
@@ -7,6 +10,17 @@
 
 namespace asf
 {
+
+namespace
+{
+
+uint64_t
+nodeBit(NodeId n)
+{
+    return uint64_t(1) << n;
+}
+
+} // namespace
 
 Directory::Directory(NodeId node, unsigned num_nodes, Mesh &mesh,
                      EventQueue &eq, MemoryImage &memory, L2Bank &l2,
@@ -16,12 +30,16 @@ Directory::Directory(NodeId node, unsigned num_nodes, Mesh &mesh,
       stats_(format("dir%d", node)),
       statQueued_(stats_.scalar("queued")),
       statProbes_(stats_.scalar("probes")),
-      statBounces_(stats_.scalar("bounces"))
+      statBounces_(stats_.scalar("bounces")),
+      // Stable JSON-report shape: the bounce/Nack counters exist even
+      // for runs that never contend.
+      statGetxNacked_(stats_.scalar("getxNacked")),
+      statCoFailed_(stats_.scalar("coFailed")),
+      statOrderCompleted_(stats_, "orderCompleted")
 {
-    // Stable JSON-report shape: the bounce/Nack counters exist even for
-    // runs that never contend.
-    for (const char *name : {"getxNacked", "coFailed"})
-        stats_.scalar(name);
+    if (num_nodes > 64)
+        fatal("directory %d: %u nodes do not fit a 64-bit sharer mask",
+              node, num_nodes);
     statByType_.reserve(numMsgTypes);
     for (unsigned t = 0; t < numMsgTypes; t++)
         statByType_.emplace_back(stats_, msgTypeName(MsgType(t)));
@@ -32,46 +50,70 @@ Directory::Directory(NodeId node, unsigned num_nodes, Mesh &mesh,
 bool
 Directory::isSharer(Addr line, NodeId node) const
 {
-    auto it = entries_.find(line);
-    return it != entries_.end() && it->second.sharers.count(node) != 0;
+    const Entry *e = entries_.find(line);
+    return e && (e->sharers & nodeBit(node)) != 0;
 }
 
 bool
 Directory::isExclusive(Addr line, NodeId owner) const
 {
-    auto it = entries_.find(line);
-    return it != entries_.end() && it->second.exclusiveGranted &&
-           it->second.owner == owner;
+    const Entry *e = entries_.find(line);
+    return e && e->owner != invalidNode && e->owner == owner;
+}
+
+bool
+Directory::lineBusy(Addr line) const
+{
+    const Entry *e = entries_.find(line);
+    return e && e->txn != noTxn;
 }
 
 size_t
 Directory::queuedRequests(Addr line) const
 {
-    auto it = waiting_.find(line);
-    return it == waiting_.end() ? 0 : it->second.size();
+    const Entry *e = entries_.find(line);
+    if (!e || e->txn == noTxn)
+        return 0;
+    const TxnSlot &slot = txns_[e->txn];
+    return slot.waiting.size() - slot.waitHead;
 }
 
 void
 Directory::debugDump(std::ostream &os) const
 {
-    if (active_.empty() && waiting_.empty())
+    std::vector<bool> idle(txns_.size());
+    for (uint32_t t : freeTxns_)
+        idle[t] = true;
+    std::vector<const TxnSlot *> busy;
+    for (size_t t = 0; t < txns_.size(); t++)
+        if (!idle[t])
+            busy.push_back(&txns_[t]);
+    if (busy.empty())
         return;
+    std::sort(busy.begin(), busy.end(),
+              [](const TxnSlot *a, const TxnSlot *b) {
+                  return a->txn.req.addr < b->txn.req.addr;
+              });
     os << "dir" << unsigned(node_) << ":\n";
-    for (const auto &[line, txn] : active_) {
-        os << "  txn line=0x" << std::hex << line << std::dec << " "
+    for (const TxnSlot *slot : busy) {
+        const Txn &txn = slot->txn;
+        os << "  txn line=0x" << std::hex << txn.req.addr << std::dec << " "
            << msgTypeName(txn.req.type) << " from core"
            << unsigned(txn.req.src) << " fenceId=" << txn.req.fenceId
            << " storageReady=" << txn.storageReady
            << " pendingAcks=" << txn.pendingAcks
            << " anyBounce=" << txn.anyBounce << "\n";
     }
-    for (const auto &[line, q] : waiting_) {
-        if (q.empty())
+    for (const TxnSlot *slot : busy) {
+        if (slot->waiting.empty())
             continue;
-        os << "  queued line=0x" << std::hex << line << std::dec << " [";
-        for (size_t i = 0; i < q.size(); i++)
-            os << (i ? "," : "") << msgTypeName(q[i].type) << ":core"
-               << unsigned(q[i].src);
+        os << "  queued line=0x" << std::hex << slot->txn.req.addr
+           << std::dec << " [";
+        for (size_t i = slot->waitHead; i < slot->waiting.size(); i++) {
+            const Message &q = slot->waiting[i];
+            os << (i > slot->waitHead ? "," : "") << msgTypeName(q.type)
+               << ":core" << unsigned(q.src);
+        }
         os << "]\n";
     }
 }
@@ -86,14 +128,25 @@ Directory::handle(const Message &msg)
       case MsgType::GetS:
       case MsgType::GetX:
       case MsgType::OrderWrite:
-      case MsgType::CondOrderWrite:
-        if (active_.count(msg.addr)) {
-            waiting_[msg.addr].push_back(msg);
-            statQueued_.inc();
-        } else {
-            startTxn(msg);
+      case MsgType::CondOrderWrite: {
+        Entry &entry = entries_[msg.addr];
+        if (entry.txn == noTxn) {
+            startTxn(entry, msg);
+            break;
         }
+        TxnSlot &slot = txns_[entry.txn];
+        // Reuse the served prefix before the queue would reallocate, so
+        // a line that never drains keeps a bounded queue.
+        if (slot.waitHead > 0 &&
+            slot.waiting.size() == slot.waiting.capacity()) {
+            slot.waiting.erase(slot.waiting.begin(),
+                               slot.waiting.begin() + slot.waitHead);
+            slot.waitHead = 0;
+        }
+        slot.waiting.push_back(msg);
+        statQueued_.inc();
         break;
+      }
       case MsgType::PutM:
       case MsgType::PutE:
         handlePut(msg);
@@ -108,71 +161,74 @@ Directory::handle(const Message &msg)
     }
 }
 
-void
-Directory::startTxn(const Message &req)
+Directory::Entry &
+Directory::busyEntry(Addr line, const char *what)
 {
-    Addr line = req.addr;
-    Txn &txn = active_[line];
-    txn.req = req;
+    Entry *e = entries_.find(line);
+    if (!e || e->txn == noTxn)
+        panic("directory %d: %s for line %#llx with no transaction", node_,
+              what, (unsigned long long)line);
+    return *e;
+}
+
+void
+Directory::startTxn(Entry &entry, const Message &req)
+{
+    if (entry.txn == noTxn) {
+        if (freeTxns_.empty()) {
+            entry.txn = uint32_t(txns_.size());
+            txns_.emplace_back();
+        } else {
+            entry.txn = freeTxns_.back();
+            freeTxns_.pop_back();
+        }
+    }
+    txns_[entry.txn].txn = Txn{req};
     statByType_[unsigned(req.type)].inc();
     // The directory looks the line up before anything goes out.
+    Addr line = req.addr;
     eq_.scheduleIn(lookupLatency_, [this, line]() { issueTxn(line); });
 }
 
 void
 Directory::issueTxn(Addr line)
 {
-    auto it = active_.find(line);
-    if (it == active_.end())
-        panic("issueTxn for dead txn %#llx", (unsigned long long)line);
-    Txn &txn = it->second;
+    Entry &entry = busyEntry(line, "issueTxn");
+    Txn &txn = txns_[entry.txn].txn;
     const Message &req = txn.req;
-    Entry &entry = entries_[line];
 
     // Storage (L2 hit or off-chip memory) proceeds in parallel with the
     // probes; the transaction finalizes when both are done.
     Tick lat = l2_.access(line);
     eq_.scheduleIn(lat, [this, line]() {
-        auto sit = active_.find(line);
-        if (sit == active_.end())
-            panic("storage callback for dead txn %#llx",
-                  (unsigned long long)line);
-        sit->second.storageReady = true;
-        tryFinalize(line);
+        Entry &e = busyEntry(line, "storage callback");
+        txns_[e.txn].txn.storageReady = true;
+        tryFinalize(e);
     });
 
     // Issue probes.
     switch (req.type) {
       case MsgType::GetS:
-        if (entry.exclusiveGranted && entry.owner != req.src) {
+        if (entry.owner != invalidNode && entry.owner != req.src) {
             sendProbe(entry.owner, req, MsgType::Dwngr, false, 0);
             txn.pendingAcks = 1;
         }
         break;
       case MsgType::GetX:
-        for (NodeId s : entry.sharers) {
-            if (s == req.src)
-                continue;
-            sendProbe(s, req, MsgType::Inv, false, 0);
-            txn.pendingAcks++;
-        }
-        break;
       case MsgType::OrderWrite:
-        for (NodeId s : entry.sharers) {
-            if (s == req.src)
-                continue;
-            sendProbe(s, req, MsgType::Inv, true, 0);
+      case MsgType::CondOrderWrite: {
+        bool order = req.type != MsgType::GetX;
+        WordMask mask =
+            req.type == MsgType::CondOrderWrite ? req.wordMask : 0;
+        // Lowest node first, so probes claim mesh links in node order.
+        for (uint64_t m = entry.sharers & ~nodeBit(req.src); m;
+             m &= m - 1) {
+            sendProbe(NodeId(std::countr_zero(m)), req, MsgType::Inv,
+                      order, mask);
             txn.pendingAcks++;
         }
         break;
-      case MsgType::CondOrderWrite:
-        for (NodeId s : entry.sharers) {
-            if (s == req.src)
-                continue;
-            sendProbe(s, req, MsgType::Inv, true, req.wordMask);
-            txn.pendingAcks++;
-        }
-        break;
+      }
       default:
         panic("startTxn on %s", msgTypeName(req.type));
     }
@@ -185,7 +241,7 @@ Directory::issueTxn(Addr line)
     if (hotspot_ && txn.pendingAcks >= 1)
         hotspot_->recordSharers(line, txn.pendingAcks);
 
-    tryFinalize(line);
+    tryFinalize(entry);
 }
 
 void
@@ -208,11 +264,8 @@ Directory::sendProbe(NodeId target, const Message &req, MsgType type,
 void
 Directory::onProbeAck(const Message &ack)
 {
-    auto it = active_.find(ack.addr);
-    if (it == active_.end())
-        panic("directory %d: probe ack with no txn: %s", node_,
-              ack.toString().c_str());
-    Txn &txn = it->second;
+    Entry &entry = busyEntry(ack.addr, "probe ack");
+    Txn &txn = txns_[entry.txn].txn;
     if (txn.pendingAcks == 0)
         panic("directory %d: unexpected extra ack", node_);
     txn.pendingAcks--;
@@ -236,34 +289,30 @@ Directory::onProbeAck(const Message &ack)
                    (unsigned long long)txn.req.fenceId)));
     } else if (ack.type == MsgType::InvAck) {
         if (ack.keepSharer)
-            txn.keepAsSharers.insert(ack.src);
+            txn.keepAsSharers |= nodeBit(ack.src);
         else
-            txn.invalidated.insert(ack.src);
+            txn.invalidated |= nodeBit(ack.src);
         if (ack.bsMatch == BsMatch::TrueShare)
             txn.anyTrueShare = true;
     }
     // DwngrAck: the owner keeps a Shared copy; nothing to record.
 
-    tryFinalize(ack.addr);
+    tryFinalize(entry);
 }
 
 void
-Directory::tryFinalize(Addr line)
+Directory::tryFinalize(Entry &entry)
 {
-    auto it = active_.find(line);
-    if (it == active_.end())
-        return;
-    Txn &txn = it->second;
+    Txn &txn = txns_[entry.txn].txn;
     if (!txn.storageReady || txn.pendingAcks != 0)
         return;
-    finalize(txn);
-    finishLine(line);
+    finalize(txn, entry);
+    finishLine(entry);
 }
 
 void
-Directory::finalize(Txn &txn)
+Directory::finalize(Txn &txn, Entry &entry)
 {
-    Entry &entry = entries_[txn.req.addr];
     switch (txn.req.type) {
       case MsgType::GetS:
         finalizeGetS(txn, entry);
@@ -284,15 +333,11 @@ void
 Directory::finalizeGetS(Txn &txn, Entry &entry)
 {
     NodeId req = txn.req.src;
-    if (entry.exclusiveGranted) {
-        // Owner was downgraded (or its writeback already arrived).
-        entry.exclusiveGranted = false;
-        entry.owner = invalidNode;
-    }
-    bool grant_exclusive = entry.sharers.empty();
-    entry.sharers.insert(req);
+    // Any owner was downgraded (or its writeback already arrived).
+    entry.owner = invalidNode;
+    bool grant_exclusive = entry.sharers == 0;
+    entry.sharers |= nodeBit(req);
     if (grant_exclusive) {
-        entry.exclusiveGranted = true;
         entry.owner = req;
         reply(txn, MsgType::DataE, true);
     } else {
@@ -306,13 +351,10 @@ Directory::finalizeGetX(Txn &txn, Entry &entry)
     NodeId req = txn.req.src;
     // Sharers that acknowledged invalidation leave the list; bouncing
     // sharers stay (they still hold the line).
-    for (NodeId s : txn.invalidated)
-        entry.sharers.erase(s);
-    for (NodeId s : txn.keepAsSharers)
-        entry.sharers.erase(s);
+    entry.sharers &= ~(txn.invalidated | txn.keepAsSharers);
 
     if (txn.anyBounce) {
-        stats_.scalar("getxNacked").inc();
+        statGetxNacked_.inc();
         if (hotspot_)
             hotspot_->record(txn.req.addr, HotEvent::NackX);
         ASF_TRACE(instant(
@@ -324,14 +366,8 @@ Directory::finalizeGetX(Txn &txn, Entry &entry)
         return;
     }
 
-    bool was_sharer = entry.sharers.count(req) != 0;
-    if (entry.exclusiveGranted && entry.owner != req) {
-        entry.exclusiveGranted = false;
-        entry.owner = invalidNode;
-    }
-    entry.sharers.clear();
-    entry.sharers.insert(req);
-    entry.exclusiveGranted = true;
+    bool was_sharer = (entry.sharers & nodeBit(req)) != 0;
+    entry.sharers = nodeBit(req);
     entry.owner = req;
 
     if (txn.req.reqHasLine && was_sharer)
@@ -348,16 +384,12 @@ Directory::finalizeOrder(Txn &txn, Entry &entry)
 
     // All probed caches invalidated their copies; BS-matching ones stay
     // in the sharer list so they keep seeing future writes.
-    for (NodeId s : txn.invalidated)
-        entry.sharers.erase(s);
-    if (entry.exclusiveGranted) {
-        entry.exclusiveGranted = false;
-        entry.owner = invalidNode;
-    }
+    entry.sharers &= ~txn.invalidated;
+    entry.owner = invalidNode;
 
     if (conditional && txn.anyTrueShare) {
         // CO fails: discard the update, requester retries as CO.
-        stats_.scalar("coFailed").inc();
+        statCoFailed_.inc();
         if (hotspot_)
             hotspot_->record(txn.req.addr, HotEvent::NackCO);
         ASF_TRACE(instant(
@@ -376,28 +408,29 @@ Directory::finalizeOrder(Txn &txn, Entry &entry)
     // directory orders all writes to this line): coherence-stamp it.
     if (recorder_ && txn.req.storeSeq)
         recorder_->onStoreMerged(req, txn.req.storeSeq);
-    entry.sharers.insert(req);
-    stats_.scalar("orderCompleted").inc();
+    entry.sharers |= nodeBit(req);
+    statOrderCompleted_.inc();
     reply(txn, MsgType::AckOrder, true);
 }
 
 void
-Directory::finishLine(Addr line)
+Directory::finishLine(Entry &entry)
 {
-    active_.erase(line);
-    auto wit = waiting_.find(line);
-    if (wit == waiting_.end() || wit->second.empty()) {
-        waiting_.erase(line);
+    TxnSlot &slot = txns_[entry.txn];
+    if (slot.waiting.empty()) {
+        freeTxns_.push_back(entry.txn);
+        entry.txn = noTxn;
         return;
     }
-    Message next = wit->second.front();
-    wit->second.pop_front();
-    if (wit->second.empty())
-        waiting_.erase(line);
+    Message next = std::move(slot.waiting[slot.waitHead++]);
+    if (slot.waitHead == slot.waiting.size()) {
+        slot.waiting.clear();
+        slot.waitHead = 0;
+    }
     // Start the next transaction synchronously: deferring would let a
     // newly arriving request jump the queue, which breaks per-line
     // request ordering (and with it the FIFO reply order cores rely on).
-    startTxn(next);
+    startTxn(entry, next);
 }
 
 void
@@ -414,14 +447,12 @@ Directory::handlePut(const Message &msg)
         // this latency).
         l2_.access(msg.addr);
     }
-    if (entry.exclusiveGranted && entry.owner == msg.src) {
-        entry.exclusiveGranted = false;
+    if (entry.owner == msg.src)
         entry.owner = invalidNode;
-    }
     if (msg.keepSharer)
-        entry.sharers.insert(msg.src);
+        entry.sharers |= nodeBit(msg.src);
     else
-        entry.sharers.erase(msg.src);
+        entry.sharers &= ~nodeBit(msg.src);
 }
 
 void

@@ -18,19 +18,23 @@
  *
  * Sharer lists are conservative: Shared-state evictions are silent, so a
  * listed sharer may no longer hold the line; probing it is harmless.
+ *
+ * Bookkeeping is flat: sharer sets are 64-bit masks (so a slice serves
+ * at most 64 nodes), every line's state sits in one LineTable, and a
+ * busy line's transaction, with the requests queued behind it, sits in
+ * a pooled slot that the line's entry points to.
  */
 
 #ifndef ASF_MEM_DIRECTORY_HH
 #define ASF_MEM_DIRECTORY_HH
 
-#include <deque>
-#include <map>
+#include <cstdint>
 #include <ostream>
-#include <set>
 #include <vector>
 
 #include "mem/hotspot.hh"
 #include "mem/l2_bank.hh"
+#include "mem/line_table.hh"
 #include "mem/memory_image.hh"
 #include "mem/message.hh"
 #include "noc/mesh.hh"
@@ -68,7 +72,7 @@ class Directory
     // --- introspection for tests --------------------------------------
     bool isSharer(Addr line, NodeId node) const;
     bool isExclusive(Addr line, NodeId owner) const;
-    bool lineBusy(Addr line) const { return active_.count(line) != 0; }
+    bool lineBusy(Addr line) const;
     size_t queuedRequests(Addr line) const;
 
     /** In-flight transactions and queued requests, one line each
@@ -76,13 +80,18 @@ class Directory
     void debugDump(std::ostream &os) const;
 
   private:
+    /** Marks a line with no active transaction. */
+    static constexpr uint32_t noTxn = ~uint32_t(0);
+
     struct Entry
     {
-        /** A single node was granted E or M rights. */
-        bool exclusiveGranted = false;
+        /** Conservative sharer set, bit n for node n (includes the
+         *  owner when exclusive). */
+        uint64_t sharers = 0;
+        /** The node granted E or M rights, or invalidNode. */
         NodeId owner = invalidNode;
-        /** Conservative sharer set (includes owner when exclusive). */
-        std::set<NodeId> sharers;
+        /** Index into txns_ of the line's active transaction. */
+        uint32_t txn = noTxn;
     };
 
     struct Txn
@@ -92,16 +101,29 @@ class Directory
         unsigned pendingAcks = 0;
         bool anyBounce = false;
         bool anyTrueShare = false;
-        std::set<NodeId> keepAsSharers;
-        std::set<NodeId> invalidated;
+        uint64_t keepAsSharers = 0;
+        uint64_t invalidated = 0;
     };
 
-    void startTxn(const Message &req);
+    /** A busy line's transaction and the requests queued behind it. */
+    struct TxnSlot
+    {
+        Txn txn;
+        /** Requests that arrived while the line was busy, in arrival
+         *  order from waitHead; the next one restarts this slot when
+         *  `txn` finishes. */
+        std::vector<Message> waiting;
+        size_t waitHead = 0;
+    };
+
+    /** The entry of a line that has an active transaction. */
+    Entry &busyEntry(Addr line, const char *what);
+    void startTxn(Entry &entry, const Message &req);
     void issueTxn(Addr line);
     void onProbeAck(const Message &ack);
-    void tryFinalize(Addr line);
-    void finalize(Txn &txn);
-    void finishLine(Addr line);
+    void tryFinalize(Entry &entry);
+    void finalize(Txn &txn, Entry &entry);
+    void finishLine(Entry &entry);
 
     void finalizeGetS(Txn &txn, Entry &entry);
     void finalizeGetX(Txn &txn, Entry &entry);
@@ -123,16 +145,21 @@ class Directory
     Tick lookupLatency_;
     check::ExecutionRecorder *recorder_ = nullptr;
     HotLineTracker *hotspot_ = nullptr;
-    std::map<Addr, Entry> entries_;
-    std::map<Addr, Txn> active_;
-    std::map<Addr, std::deque<Message>> waiting_;
+    LineTable<Entry> entries_;
+    /** Transaction slots; freeTxns_ lists the idle ones. */
+    std::vector<TxnSlot> txns_;
+    std::vector<uint32_t> freeTxns_;
     StatGroup stats_;
     // Hot-path handles into stats_: references for the pre-registered
-    // counters, lazy handles (indexed by MsgType) for the per-request
-    // counters so untouched message types stay out of the report.
+    // counters, lazy handles for the rest (orderCompleted, and the
+    // per-request counters indexed by MsgType) so untouched counters
+    // stay out of the report.
     StatScalar &statQueued_;
     StatScalar &statProbes_;
     StatScalar &statBounces_;
+    StatScalar &statGetxNacked_;
+    StatScalar &statCoFailed_;
+    LazyStatScalar statOrderCompleted_;
     std::vector<LazyStatScalar> statByType_;
 };
 

@@ -27,44 +27,93 @@ HotLineTracker::HotLineTracker(unsigned capacity)
     : capacity_(capacity ? capacity : 1)
 {
     entries_.reserve(capacity_);
+    heap_.reserve(capacity_);
+    heapPos_.reserve(capacity_);
+}
+
+bool
+HotLineTracker::evictsBefore(uint32_t a, uint32_t b) const
+{
+    const Entry &x = entries_[a];
+    const Entry &y = entries_[b];
+    return x.count != y.count ? x.count < y.count : x.line < y.line;
+}
+
+void
+HotLineTracker::place(size_t pos, uint32_t entry)
+{
+    heap_[pos] = entry;
+    heapPos_[entry] = uint32_t(pos);
+}
+
+void
+HotLineTracker::siftUp(size_t pos)
+{
+    uint32_t entry = heap_[pos];
+    while (pos > 0) {
+        size_t parent = (pos - 1) / 2;
+        if (!evictsBefore(entry, heap_[parent]))
+            break;
+        place(pos, heap_[parent]);
+        pos = parent;
+    }
+    place(pos, entry);
+}
+
+void
+HotLineTracker::siftDown(size_t pos)
+{
+    uint32_t entry = heap_[pos];
+    for (;;) {
+        size_t child = 2 * pos + 1;
+        if (child >= heap_.size())
+            break;
+        if (child + 1 < heap_.size() &&
+            evictsBefore(heap_[child + 1], heap_[child]))
+            child++;
+        if (!evictsBefore(heap_[child], entry))
+            break;
+        place(pos, heap_[child]);
+        pos = child;
+    }
+    place(pos, entry);
 }
 
 HotLineTracker::Entry &
 HotLineTracker::touch(Addr line, uint64_t w)
 {
-    auto it = index_.find(line);
-    if (it != index_.end()) {
-        Entry &e = entries_[it->second];
-        e.count += w;
-        return e;
+    // Counts only grow, so a touched entry can only move down the heap.
+    if (const uint32_t *hit = index_.find(line)) {
+        uint32_t i = *hit;
+        entries_[i].count += w;
+        siftDown(heapPos_[i]);
+        return entries_[i];
     }
     if (entries_.size() < capacity_) {
-        index_[line] = entries_.size();
+        uint32_t i = uint32_t(entries_.size());
+        index_[line] = i;
         entries_.push_back(Entry{});
         Entry &e = entries_.back();
         e.line = line;
         e.count = w;
+        heap_.push_back(i);
+        heapPos_.push_back(0);
+        siftUp(heap_.size() - 1);
         return e;
     }
     // Space-Saving eviction: replace the minimum-count entry and let
     // the newcomer inherit its count as the overestimation bound.
-    // Ties break on the lower address so eviction is deterministic.
-    size_t min_i = 0;
-    for (size_t i = 1; i < entries_.size(); i++) {
-        if (entries_[i].count < entries_[min_i].count ||
-            (entries_[i].count == entries_[min_i].count &&
-             entries_[i].line < entries_[min_i].line))
-            min_i = i;
-    }
-    Entry &e = entries_[min_i];
+    uint32_t i = heap_[0];
+    Entry &e = entries_[i];
     index_.erase(e.line);
-    index_[line] = min_i;
+    index_[line] = i;
     uint64_t inherited = e.count;
     e = Entry{};
     e.line = line;
     e.count = inherited + w;
     e.error = inherited;
     evictions_++;
+    siftDown(0);
     return e;
 }
 
@@ -106,6 +155,8 @@ HotLineTracker::reset()
 {
     entries_.clear();
     index_.clear();
+    heap_.clear();
+    heapPos_.clear();
     totalRecorded_ = 0;
     evictions_ = 0;
 }

@@ -13,7 +13,8 @@
  * (true count is within [count - error, count]). Any line whose true
  * frequency exceeds N/K is guaranteed to be present, which is exactly
  * the hot-line question: a handful of contended flags against a long
- * tail of one-touch lines.
+ * tail of one-touch lines. A min-heap over the entries finds the
+ * eviction victim in O(log K).
  *
  * Observation-only by construction: the tracker is fed from statistics
  * hook sites and never feeds anything back, so simulated cycles and all
@@ -29,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "mem/line_table.hh"
 #include "sim/types.hh"
 
 namespace asf
@@ -95,12 +97,24 @@ class HotLineTracker
   private:
     Entry &touch(Addr line, uint64_t w);
 
+    /** Eviction order of two entries: lower count first, then lower
+     *  address, so the victim is deterministic. */
+    bool evictsBefore(uint32_t a, uint32_t b) const;
+    void siftUp(size_t pos);
+    void siftDown(size_t pos);
+    void place(size_t pos, uint32_t entry);
+
     unsigned capacity_;
     uint64_t totalRecorded_ = 0;
     uint64_t evictions_ = 0;
     std::vector<Entry> entries_;
     /** line -> index into entries_. Bounded by capacity_. */
-    std::map<Addr, size_t> index_;
+    LineTable<uint32_t> index_;
+    /** Indices into entries_ as a binary min-heap in eviction order:
+     *  heap_[0] is the Space-Saving victim. heapPos_[i] is where entry
+     *  i sits in heap_. */
+    std::vector<uint32_t> heap_;
+    std::vector<uint32_t> heapPos_;
 };
 
 /**

@@ -11,10 +11,8 @@ MemoryImage::readLine(Addr line_addr) const
 {
     if (!isLineAligned(line_addr))
         panic("readLine: unaligned %#llx", (unsigned long long)line_addr);
-    auto it = lines_.find(line_addr);
-    if (it == lines_.end())
-        return LineData{};
-    return it->second;
+    const LineData *data = lines_.find(line_addr);
+    return data ? *data : LineData{};
 }
 
 void
@@ -30,10 +28,8 @@ MemoryImage::readWord(Addr addr) const
 {
     if (!isWordAligned(addr))
         panic("readWord: unaligned %#llx", (unsigned long long)addr);
-    auto it = lines_.find(lineAlign(addr));
-    if (it == lines_.end())
-        return 0;
-    return it->second[wordInLine(addr)];
+    const LineData *data = lines_.find(lineAlign(addr));
+    return data ? (*data)[wordInLine(addr)] : 0;
 }
 
 void

@@ -1,6 +1,6 @@
 /**
  * @file
- * The simulated physical memory: a sparse map of cache lines. Memory is
+ * The simulated physical memory: a sparse table of cache lines. Memory is
  * the data authority for lines not Modified in any L1; dirty writebacks
  * and Order-write merges land here.
  */
@@ -8,8 +8,7 @@
 #ifndef ASF_MEM_MEMORY_IMAGE_HH
 #define ASF_MEM_MEMORY_IMAGE_HH
 
-#include <unordered_map>
-
+#include "mem/line_table.hh"
 #include "mem/message.hh"
 #include "sim/types.hh"
 
@@ -38,7 +37,7 @@ class MemoryImage
     size_t footprintLines() const { return lines_.size(); }
 
   private:
-    std::unordered_map<Addr, LineData> lines_;
+    LineTable<LineData> lines_;
 };
 
 } // namespace asf

@@ -168,8 +168,9 @@ TEST(FenceProfileIntegration, WeeGrtTimestampsOrdered)
             continue;
         found_deposit = true;
         EXPECT_GE(r.grtDepositAt, r.issuedAt);
-        if (r.grtReplyAt)
+        if (r.grtReplyAt) {
             EXPECT_GE(r.grtReplyAt, r.grtDepositAt);
+        }
         EXPECT_GE(r.completedAt, r.grtDepositAt);
         EXPECT_GE(r.psLines, 1u);
     }

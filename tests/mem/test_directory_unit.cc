@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <sstream>
+#include <vector>
 
 #include "mem/address.hh"
 #include "mem/directory.hh"
@@ -20,17 +22,16 @@ using namespace asf;
 namespace
 {
 
-class DirectoryUnit : public ::testing::Test
+class DirectoryHarness : public ::testing::Test
 {
   protected:
-    static constexpr unsigned kNodes = 4;
     static constexpr NodeId kHome = 0;
 
-    DirectoryUnit()
-        : mesh(eq, kNodes), l2(kHome, 128 * 1024, 8, 11, 200),
-          dir(kHome, kNodes, mesh, eq, memory, l2, 6)
+    explicit DirectoryHarness(unsigned nodes)
+        : mesh(eq, nodes), l2(kHome, 128 * 1024, 8, 11, 200),
+          dir(kHome, nodes, mesh, eq, memory, l2, 6), inbox(nodes)
     {
-        for (unsigned n = 0; n < kNodes; n++) {
+        for (unsigned n = 0; n < nodes; n++) {
             mesh.setSink(NodeId(n), [this, n](const Message &m) {
                 if (m.dst == kHome &&
                     (m.type == MsgType::GetS || m.type == MsgType::GetX ||
@@ -109,11 +110,26 @@ class DirectoryUnit : public ::testing::Test
     Mesh mesh;
     L2Bank l2;
     Directory dir;
-    std::deque<Message> inbox[kNodes];
+    std::vector<std::deque<Message>> inbox;
+};
+
+class DirectoryUnit : public DirectoryHarness
+{
+  protected:
+    DirectoryUnit() : DirectoryHarness(4) {}
+};
+
+/** The largest machine: sharer bit 63 is in use. */
+class DirectoryUnit64 : public DirectoryHarness
+{
+  protected:
+    DirectoryUnit64() : DirectoryHarness(64) {}
 };
 
 // The line must be homed at node 0 (addr/512 % 4 == 0).
 constexpr Addr kLine = 0x1000;
+// Homed at node 0 of 64 (addr/512 % 64 == 0).
+constexpr Addr kLine64 = 0x8000;
 
 } // namespace
 
@@ -317,4 +333,94 @@ TEST_F(DirectoryUnit, PutWithKeepSharerRetainsMonitoring)
     mesh.send(request(MsgType::GetX, 2, kLine));
     advance(50);
     EXPECT_EQ(recv(1).type, MsgType::Inv);
+}
+
+TEST_F(DirectoryUnit, DebugDumpListsLinesInAddressOrder)
+{
+    // Three lines homed at node 0, started in descending address order;
+    // each waits 200 cycles on its L2 miss.
+    mesh.send(request(MsgType::GetS, 1, 0x3000));
+    advance(10);
+    mesh.send(request(MsgType::GetS, 2, 0x2000));
+    advance(10);
+    mesh.send(request(MsgType::GetS, 3, 0x1000));
+    advance(15);
+    mesh.send(request(MsgType::GetX, 1, 0x2000));
+    advance(10);
+    ASSERT_EQ(dir.queuedRequests(0x2000), 1u);
+
+    std::ostringstream os;
+    dir.debugDump(os);
+    EXPECT_EQ(os.str(),
+              "dir0:\n"
+              "  txn line=0x1000 GetS from core3 fenceId=0 storageReady=0 "
+              "pendingAcks=0 anyBounce=0\n"
+              "  txn line=0x2000 GetS from core2 fenceId=0 storageReady=0 "
+              "pendingAcks=0 anyBounce=0\n"
+              "  txn line=0x3000 GetS from core1 fenceId=0 storageReady=0 "
+              "pendingAcks=0 anyBounce=0\n"
+              "  queued line=0x2000 [GetX:core1]\n");
+
+    // Drain: the queued GetX must invalidate node 2's fresh E copy.
+    advance(400);
+    EXPECT_EQ(recv(2).type, MsgType::DataE);
+    ack(recv(2), 2, true, false, BsMatch::None, false);
+    advance(100);
+    std::ostringstream idle;
+    dir.debugDump(idle);
+    EXPECT_EQ(idle.str(), "") << "an idle directory dumps nothing";
+    EXPECT_TRUE(dir.isExclusive(0x2000, 1));
+}
+
+TEST_F(DirectoryUnit64, GetXProbesAllSixtyThreeSharers)
+{
+    // Node 1 reads first (E); node 2's read downgrades it while nodes
+    // 3-63 queue behind, then join as sharers in turn.
+    mesh.send(request(MsgType::GetS, 1, kLine64));
+    advance(400);
+    EXPECT_EQ(recv(1).type, MsgType::DataE);
+    for (NodeId n = 2; n < 64; n++)
+        mesh.send(request(MsgType::GetS, n, kLine64));
+    advance(200);
+    EXPECT_EQ(dir.queuedRequests(kLine64), 61u);
+    Message dwngr = recv(1);
+    ASSERT_EQ(dwngr.type, MsgType::Dwngr);
+    Message a;
+    a.type = MsgType::DwngrAck;
+    a.src = 1;
+    a.dst = kHome;
+    a.addr = kLine64;
+    a.hadLine = true;
+    mesh.send(std::move(a));
+    advance(5000);
+    for (NodeId n = 2; n < 64; n++)
+        EXPECT_EQ(recv(n).type, MsgType::DataS) << "node " << n;
+    for (NodeId n = 1; n < 64; n++)
+        EXPECT_TRUE(dir.isSharer(kLine64, n)) << "node " << n;
+    EXPECT_FALSE(dir.isSharer(kLine64, 0));
+
+    uint64_t probes_before = dir.stats().get("probes");
+    mesh.send(request(MsgType::GetX, 0, kLine64));
+    advance(200);
+    EXPECT_EQ(dir.stats().get("probes") - probes_before, 63u);
+    // Node 63 bounces as a Bypass-Set monitor; nodes 1-62 invalidate.
+    for (NodeId n = 1; n < 64; n++) {
+        Message probe = recv(n);
+        ASSERT_EQ(probe.type, MsgType::Inv) << "node " << n;
+        bool monitor = n == 63;
+        ack(probe, n, true, false,
+            monitor ? BsMatch::TrueShare : BsMatch::None, monitor);
+    }
+    advance(200);
+    EXPECT_EQ(recv(0).type, MsgType::NackX);
+    EXPECT_TRUE(dir.isSharer(kLine64, 63));
+    for (NodeId n = 1; n < 63; n++)
+        EXPECT_FALSE(dir.isSharer(kLine64, n)) << "node " << n;
+
+    Message put = request(MsgType::PutE, 63, kLine64);
+    put.keepSharer = false;
+    mesh.send(std::move(put));
+    advance(100);
+    EXPECT_FALSE(dir.isSharer(kLine64, 63));
+    EXPECT_FALSE(dir.lineBusy(kLine64));
 }

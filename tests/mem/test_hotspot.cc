@@ -9,14 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <sstream>
+#include <string>
 
 #include "../helpers.hh"
 #include "analysis/corpus.hh"
 #include "analysis/synth.hh"
 #include "mem/address.hh"
 #include "mem/hotspot.hh"
+#include "sim/rng.hh"
 #include "workloads/ustm.hh"
 
 using namespace asf;
@@ -155,6 +158,180 @@ TEST(HotLineTracker, ResetForgetsEverything)
     auto top = t.top();
     ASSERT_EQ(top.size(), 1u);
     EXPECT_EQ(top[0].error, 0u);
+}
+
+namespace
+{
+
+/** Reference model: Space-Saving with a linear scan for the victim,
+ *  as the tracker worked before its min-heap. */
+class ScanTracker
+{
+  public:
+    explicit ScanTracker(unsigned capacity) : capacity_(capacity) {}
+
+    void
+    record(Addr line, HotEvent ev, uint64_t w)
+    {
+        if (w == 0)
+            return;
+        totalRecorded += w;
+        touch(lineAlign(line), w).byEvent[unsigned(ev)] += w;
+    }
+
+    void
+    recordSharers(Addr line, unsigned sharers)
+    {
+        totalRecorded += 1;
+        HotLineTracker::Entry &e = touch(lineAlign(line), 1);
+        e.byEvent[unsigned(HotEvent::SharerProbe)] += 1;
+        e.sharerPeak = std::max(e.sharerPeak, sharers);
+    }
+
+    std::vector<HotLineTracker::Entry>
+    top() const
+    {
+        std::vector<HotLineTracker::Entry> out = entries_;
+        std::sort(out.begin(), out.end(), [](const auto &a, const auto &b) {
+            return a.count != b.count ? a.count > b.count : a.line < b.line;
+        });
+        return out;
+    }
+
+    void
+    reset()
+    {
+        entries_.clear();
+        index_.clear();
+        totalRecorded = 0;
+        evictions = 0;
+    }
+
+    uint64_t totalRecorded = 0;
+    uint64_t evictions = 0;
+
+  private:
+    HotLineTracker::Entry &
+    touch(Addr line, uint64_t w)
+    {
+        auto it = index_.find(line);
+        if (it != index_.end()) {
+            entries_[it->second].count += w;
+            return entries_[it->second];
+        }
+        if (entries_.size() < capacity_) {
+            index_[line] = entries_.size();
+            entries_.push_back(HotLineTracker::Entry{});
+            entries_.back().line = line;
+            entries_.back().count = w;
+            return entries_.back();
+        }
+        size_t min_i = 0;
+        for (size_t i = 1; i < entries_.size(); i++) {
+            if (entries_[i].count < entries_[min_i].count ||
+                (entries_[i].count == entries_[min_i].count &&
+                 entries_[i].line < entries_[min_i].line))
+                min_i = i;
+        }
+        HotLineTracker::Entry &e = entries_[min_i];
+        index_.erase(e.line);
+        index_[line] = min_i;
+        uint64_t inherited = e.count;
+        e = HotLineTracker::Entry{};
+        e.line = line;
+        e.count = inherited + w;
+        e.error = inherited;
+        evictions++;
+        return e;
+    }
+
+    unsigned capacity_;
+    std::vector<HotLineTracker::Entry> entries_;
+    std::map<Addr, size_t> index_;
+};
+
+/** First difference between two rankings, or "" when identical. */
+std::string
+rankingDiff(const std::vector<HotLineTracker::Entry> &got,
+            const std::vector<HotLineTracker::Entry> &want)
+{
+    if (got.size() != want.size())
+        return "size " + std::to_string(got.size()) + " vs " +
+               std::to_string(want.size());
+    for (size_t i = 0; i < got.size(); i++) {
+        const auto &g = got[i];
+        const auto &w = want[i];
+        bool same = g.line == w.line && g.count == w.count &&
+                    g.error == w.error && g.sharerPeak == w.sharerPeak &&
+                    std::equal(std::begin(g.byEvent), std::end(g.byEvent),
+                               std::begin(w.byEvent));
+        if (!same) {
+            std::ostringstream os;
+            os << "rank " << i << ": line " << std::hex << g.line << " vs "
+               << w.line << std::dec << ", count " << g.count << " vs "
+               << w.count << ", error " << g.error << " vs " << w.error;
+            return os.str();
+        }
+    }
+    return "";
+}
+
+} // namespace
+
+/** The heap must evict exactly what the linear scan evicted: lowest
+ *  count, ties to the lower address. One seeded stream with hot lines
+ *  that survive, a tail that churns, weights 1-3, bursts of fresh
+ *  lines that tie on count, and a reset halfway. */
+TEST(HotLineTracker, HeapEvictionMatchesLinearScan)
+{
+    constexpr unsigned kCalls = 100'000;
+    for (unsigned capacity : {1u, 2u, 8u, 64u}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        HotLineTracker heap(capacity);
+        ScanTracker scan(capacity);
+        Rng rng(7 + capacity);
+        Addr fresh = 1u << 30; // burst lines, handed out downwards
+        for (unsigned i = 0; i < kCalls; i++) {
+            if (i == kCalls / 2) {
+                heap.reset();
+                scan.reset();
+            }
+            if (i % 5000 == 4999) {
+                // Fresh lines at weight 1, descending addresses: each
+                // one lands on the current minimum count, so the table
+                // fills with equal counts and the tie-break decides.
+                for (unsigned b = 0; b < 2 * capacity; b++) {
+                    fresh -= lineBytes;
+                    heap.record(fresh, HotEvent::L2Miss, 1);
+                    scan.record(fresh, HotEvent::L2Miss, 1);
+                }
+            }
+            uint64_t tier = rng.range(10);
+            unsigned pick = tier < 5   ? unsigned(rng.range(8))
+                            : tier < 8 ? 8 + unsigned(rng.range(120))
+                                       : 128 + unsigned(rng.range(4000));
+            Addr line = lineAddr(pick) + wordBytes * rng.range(wordsPerLine);
+            if (rng.range(4) == 0) {
+                unsigned sharers = unsigned(rng.range(64));
+                heap.recordSharers(line, sharers);
+                scan.recordSharers(line, sharers);
+            } else {
+                auto ev = HotEvent(rng.range(numHotEvents));
+                uint64_t w = 1 + rng.range(3);
+                heap.record(line, ev, w);
+                scan.record(line, ev, w);
+            }
+            if (i % 1000 == 999 || i + 1 == kCalls) {
+                ASSERT_EQ(heap.totalRecorded(), scan.totalRecorded)
+                    << "after call " << i;
+                ASSERT_EQ(heap.evictions(), scan.evictions)
+                    << "after call " << i;
+                ASSERT_EQ(rankingDiff(heap.top(), scan.top()), "")
+                    << "after call " << i;
+            }
+        }
+        EXPECT_GT(heap.evictions(), 0u);
+    }
 }
 
 TEST(AddrLabels, LineGranularityLookup)
