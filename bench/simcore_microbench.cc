@@ -2,26 +2,24 @@
  * @file
  * Microbenchmarks of the simulator substrate itself, in two parts:
  *
- * 1. A host-performance report (BENCH_simcore.json, schemaVersion 3):
- *    each workload is run under all three execution modes —
- *    `noFastForward` (cycle-exact), `fastForward` (idle-cycle skipping,
- *    PR 2), and `directExec` (fast-forward plus the block-batched
- *    direct-execution engine; see DESIGN.md "Run-loop arbitration") —
- *    recording host wall-clock (the median of five interleaved
- *    rounds), simulated cycles per host second and executed events per
- *    second for each, plus the two speedups over the cycle-exact
- *    baseline. The workloads span the regimes the two
- *    optimizations target: a fence-heavy cold-miss stream (idle-
- *    dominated), 8- and 32-core busy spins (compute-bound, the
- *    direct-execution target), and a mixed compute+fence kernel. All
- *    three modes must produce a byte-identical full stats dump — the
- *    report carries a per-mode FNV-1a digest of it and the run aborts
- *    on any mismatch (tests/sys/test_direct_exec.cc checks the same
- *    invariant over fuzz programs). Version 3 adds an `observatory`
- *    block: the wall-clock overhead of interval sampling plus hot-line
- *    tracking on the busy-spin kernel (target <= 5%, gated at 10% by
- *    tools/stats_diff.py check-perf), with the same observation-only
- *    identity requirement.
+ * 1. A host-performance report (BENCH_simcore.json, schemaVersion 4):
+ *    each workload is run under both run-loop modes — `noFastForward`
+ *    (the reference: every core ticks every cycle) and `fastForward`
+ *    (per-core sleep plus the all-asleep jump; see DESIGN.md "Run-loop
+ *    arbitration") — recording host wall-clock (the median of five
+ *    interleaved rounds), simulated cycles per host second and
+ *    executed events per second for each, plus the speedup over the
+ *    reference. The workloads span a fence-heavy cold-miss stream
+ *    (idle-dominated), 8- and 32-core busy spins (compute-bound, so
+ *    sleep rarely pays), and a mixed compute+fence kernel. Both modes
+ *    must produce a byte-identical full stats dump — the report
+ *    carries a per-mode FNV-1a digest of it and the run aborts on any
+ *    mismatch (tests/sys/test_fast_forward.cc checks the same
+ *    invariant over fuzz programs and runtime kernels). An
+ *    `observatory` block records the wall-clock overhead of interval
+ *    sampling plus hot-line tracking on the busy-spin kernel (target
+ *    <= 5%, gated at 10% by tools/stats_diff.py check-perf), with the
+ *    same observation-only identity requirement.
  *
  * 2. google-benchmark microbenchmarks of the individual kernels:
  *    event-queue throughput, cache-array lookups, Bypass Set probes,
@@ -59,26 +57,10 @@ using namespace asf;
 namespace
 {
 
-// --- part 1: execution-mode host-performance report ---------------------
+// --- part 1: run-loop host-performance report --------------------------
 
-/** The three run-loop configurations the report compares. */
-enum class Mode
-{
-    NoFastForward, ///< cycle-exact: every core ticks every cycle
-    FastForward,   ///< idle-cycle skipping only (PR 2)
-    DirectExec,    ///< fast-forward + block-batched direct execution
-};
-
-const char *
-modeKey(Mode m)
-{
-    switch (m) {
-      case Mode::NoFastForward: return "noFastForward";
-      case Mode::FastForward: return "fastForward";
-      case Mode::DirectExec: return "directExec";
-    }
-    return "?";
-}
+/** Report keys of the two run-loop modes, indexed by fastForward. */
+const char *const modeKey[] = {"noFastForward", "fastForward"};
 
 struct HostRun
 {
@@ -92,7 +74,6 @@ struct HostRun
     uint64_t events = 0;
     uint64_t instrRetired = 0;
     uint64_t fastForwardedCycles = 0;
-    uint64_t directExecutedCycles = 0;
     /** Interval samples taken (stored + dropped), 0 when off. */
     uint64_t samplesTaken = 0;
     /** Full stats dump, for the cross-mode identity check. */
@@ -170,9 +151,9 @@ busySpinProgram(int64_t iters)
 }
 
 /** Alternating regimes inside one loop body: a 64-cycle compute block
- *  (direct execution's best case) followed by a cold-miss store drained
- *  through a strong fence and a cold-miss load (fast-forward's best
- *  case). Neither optimization alone covers the whole iteration. */
+ *  (busy, so the core stays awake) followed by a cold-miss store
+ *  drained through a strong fence and a cold-miss load (fast-forward's
+ *  best case). */
 std::shared_ptr<const Program>
 computeFenceMixProgram(int64_t iters)
 {
@@ -201,15 +182,14 @@ enum class Kernel
 };
 
 HostRun
-timeWorkload(Kernel kernel, unsigned cores, Mode mode, int64_t iters,
-             Tick stats_interval = 0, bool hotline = true,
+timeWorkload(Kernel kernel, unsigned cores, bool fast_forward,
+             int64_t iters, Tick stats_interval = 0, bool hotline = true,
              bool neutral_dump = false)
 {
     SystemConfig cfg;
     cfg.numCores = cores;
     cfg.design = FenceDesign::SPlus;
-    cfg.fastForward = mode != Mode::NoFastForward;
-    cfg.directExec = mode == Mode::DirectExec;
+    cfg.fastForward = fast_forward;
     cfg.statsInterval = stats_interval;
     cfg.hotLineTracking = hotline;
     System sys(cfg);
@@ -243,7 +223,6 @@ timeWorkload(Kernel kernel, unsigned cores, Mode mode, int64_t iters,
     r.events = sys.eventQueue().executedEvents();
     r.instrRetired = sys.totalInstrRetired();
     r.fastForwardedCycles = sys.fastForwardedCycles();
-    r.directExecutedCycles = sys.directExecutedCycles();
     if (const IntervalStats *is = sys.intervalStats())
         r.samplesTaken = is->size() + is->dropped();
     std::ostringstream ss;
@@ -294,29 +273,27 @@ ObsOverhead
 measureObservatory(int64_t iters, int reps)
 {
     constexpr unsigned cores = 8;
-    // Fast-forward mode: the busy spin never idles, so the run loop
+    // Fast-forward on: the busy spin never idles, so the run loop
     // crosses every interval boundary cycle-by-cycle and actually
-    // takes ~10k samples. (Direct execution would batch across nearly
-    // all boundaries and merge them into a handful of samples, hiding
-    // the per-sample cost this measurement exists to bound.)
-    constexpr Mode mode = Mode::FastForward;
+    // takes ~10k samples.
+    constexpr bool ff = true;
     // Size the interval off a probe run so the on-run takes ~10k
     // samples regardless of --quick scaling.
-    HostRun probe = timeWorkload(Kernel::BusySpin, cores, mode, iters,
+    HostRun probe = timeWorkload(Kernel::BusySpin, cores, ff, iters,
                                  /*stats_interval=*/0, /*hotline=*/false,
                                  /*neutral_dump=*/true);
     ObsOverhead o;
     o.intervalCycles = std::max<Tick>(1, probe.simCycles / 10'000);
     o.identical = true;
     auto run_off = [&] {
-        return timeWorkload(Kernel::BusySpin, cores, mode, iters, 0, false,
+        return timeWorkload(Kernel::BusySpin, cores, ff, iters, 0, false,
                             true);
     };
     HostRun off = run_off();
     std::vector<double> offs{off.cpuSeconds}, ons, ratios;
     HostRun on_last;
     for (int i = 0; i < reps; i++) {
-        HostRun on = timeWorkload(Kernel::BusySpin, cores, mode, iters,
+        HostRun on = timeWorkload(Kernel::BusySpin, cores, ff, iters,
                                   o.intervalCycles, true, true);
         HostRun next_off = run_off();
         o.identical = o.identical && on.statsJson == off.statsJson &&
@@ -346,7 +323,6 @@ emitRun(harness::JsonWriter &w, const char *key, const HostRun &r)
     w.field("eventsPerSec", r.eventsPerSec());
     w.field("instrRetired", r.instrRetired);
     w.field("fastForwardedCycles", r.fastForwardedCycles);
-    w.field("directExecutedCycles", r.directExecutedCycles);
     w.field("statsDigest", fnv1a(r.statsJson));
     w.endObject();
 }
@@ -364,23 +340,19 @@ writeReport(const std::string &path, bool quick,
     };
     // ~1M simulated cycles each: long enough that host timing is
     // dominated by the simulation loop, short enough for CI. --quick
-    // divides the iteration counts by 4 (the perf smoke gate's 2x
-    // speedup threshold leaves ample headroom for the extra noise).
+    // divides the iteration counts by 4.
     const Entry entries[] = {
         {"fence_heavy_8core", Kernel::FenceHeavy, 8, 2000},
         {"busy_spin_8core", Kernel::BusySpin, 8, 100000},
         {"busy_spin_32core", Kernel::BusySpin, 32, 20000},
         {"compute_fence_mix_8core", Kernel::ComputeFenceMix, 8, 3000},
     };
-    const Mode modes[] = {Mode::NoFastForward, Mode::FastForward,
-                          Mode::DirectExec};
-
     std::ofstream f(path, std::ios::trunc);
     if (!f)
         fatal("cannot write '%s'", path.c_str());
     harness::JsonWriter w(f);
     w.beginObject();
-    w.field("schemaVersion", uint64_t(3));
+    w.field("schemaVersion", uint64_t(4));
     w.field("design", "S+");
     w.field("quick", quick);
     w.key("workloads").beginArray();
@@ -390,51 +362,45 @@ writeReport(const std::string &path, bool quick,
             continue;
         int64_t iters = quick ? e.iters / 4 : e.iters;
         // Warm-up run absorbs first-touch host effects (page faults,
-        // allocator growth), then time all three modes in kRounds
+        // allocator growth), then time both modes in kRounds
         // interleaved rounds and keep each mode's median time: one
         // slow or fast spell of a shared host then moves no ratio.
-        timeWorkload(e.kernel, e.cores, Mode::NoFastForward, iters / 4);
+        timeWorkload(e.kernel, e.cores, false, iters / 4);
         constexpr int kRounds = 5;
-        HostRun runs[3];
-        std::vector<double> seconds[3];
+        HostRun runs[2];
+        std::vector<double> seconds[2];
         for (int round = 0; round < kRounds; round++)
-            for (int m = 0; m < 3; m++) {
-                runs[m] = timeWorkload(e.kernel, e.cores, modes[m], iters);
-                seconds[m].push_back(runs[m].seconds);
+            for (bool ff : {false, true}) {
+                runs[ff] = timeWorkload(e.kernel, e.cores, ff, iters);
+                seconds[ff].push_back(runs[ff].seconds);
             }
-        for (int m = 0; m < 3; m++)
+        for (int m = 0; m < 2; m++)
             runs[m].seconds = median(seconds[m]);
         const HostRun &base = runs[0];
         // The identity invariant, over the FULL stats dump: any
-        // divergence between execution modes is a simulator bug, not a
+        // divergence between run-loop modes is a simulator bug, not a
         // benchmarking artifact — refuse to write a report.
-        for (int m = 1; m < 3; m++)
-            if (runs[m].statsJson != base.statsJson)
-                fatal("%s: %s changed simulated results "
-                      "(cycles %llu vs %llu)",
-                      e.name, modeKey(modes[m]),
-                      (unsigned long long)runs[m].simCycles,
-                      (unsigned long long)base.simCycles);
+        if (runs[1].statsJson != base.statsJson)
+            fatal("%s: fastForward changed simulated results "
+                  "(cycles %llu vs %llu)",
+                  e.name, (unsigned long long)runs[1].simCycles,
+                  (unsigned long long)base.simCycles);
         double speedup_ff = runs[1].seconds > 0
                                 ? base.seconds / runs[1].seconds : 0.0;
-        double speedup_de = runs[2].seconds > 0
-                                ? base.seconds / runs[2].seconds : 0.0;
         w.beginObject();
         w.field("name", e.name);
         w.field("cores", e.cores);
-        for (int m = 0; m < 3; m++)
-            emitRun(w, modeKey(modes[m]), runs[m]);
+        for (int m = 0; m < 2; m++)
+            emitRun(w, modeKey[m], runs[m]);
         w.field("speedupFastForward", speedup_ff);
-        w.field("speedupDirectExec", speedup_de);
         w.field("statsIdentical", true);
         w.endObject();
-        std::printf("%-24s %9.0f cyc/s exact, %9.0f ff (%.2fx), "
-                    "%9.0f direct (%.2fx; %llu/%llu cycles batched)\n",
-                    e.name, base.cyclesPerSec(),
-                    runs[1].cyclesPerSec(), speedup_ff,
-                    runs[2].cyclesPerSec(), speedup_de,
-                    (unsigned long long)runs[2].directExecutedCycles,
-                    (unsigned long long)runs[2].simCycles);
+        std::printf("%-24s %9.0f cyc/s exact, %9.0f ff (%.2fx; "
+                    "%llu/%llu cycles jumped)\n",
+                    e.name, base.cyclesPerSec(), runs[1].cyclesPerSec(),
+                    speedup_ff,
+                    (unsigned long long)runs[1].fastForwardedCycles,
+                    (unsigned long long)runs[1].simCycles);
     }
     w.endArray();
 

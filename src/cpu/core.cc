@@ -47,13 +47,6 @@ Core::setProgram(const Program *prog, uint64_t prng_seed)
     prog_ = prog;
     thread_.reset(0, prng_seed ? prng_seed
                                : 0x9e3779b97f4a7c15ULL + uint64_t(id_));
-    // Rebuilding wholesale is the trace cache's invalidation story:
-    // programs are immutable, so a fence spliced in by rewrite.cc
-    // arrives as a new Program and every stale block dies here.
-    if (prog_)
-        trace_.build(*prog_);
-    else
-        trace_.clear();
 }
 
 void
@@ -410,462 +403,6 @@ Core::skipCycles(uint64_t n)
         }
     }
     recordStallCycles(stallBucket(), n);
-}
-
-// ---------------------------------------------------------------------
-// Direct execution
-//
-// directBurst batch-interprets cycles whose every effect is core-local:
-// pure register ops, branches, compute count-downs, stores draining
-// into lines this L1 already holds exclusively, and loads served by
-// forwarding or an L1 hit. Each burst cycle mirrors tick()'s stage
-// order exactly — occupancy sample, store issue, load unit, execute,
-// classify — with per-cycle time `t` standing in for eq_.now(), and
-// the burst ends at the first action that would leave the core: a
-// GetX/GetS, a fence, an RMW, Mark, or Halt. Cycles in which provably
-// no stage can act (a compute count-down, or every unit waiting on a
-// known future tick) advance as a whole run in O(1).
-//
-// The burst is one speculative transaction: statistics are batched and
-// L1 LRU touches deferred, so until directCommit() nothing observable
-// has happened. System::run bursts every eligible core up to a common
-// window, then commits all of them to the *minimum* progress: a full
-// clean burst just flushes; a longer or dirty one is rolled back to
-// the entry snapshot and its committed prefix re-executed, which is
-// exact because a burst is a deterministic function of its start
-// state. Statistics use the same counters and the same stallBucket()
-// classification tick() uses, which is what keeps the two paths
-// bit-identical.
-// ---------------------------------------------------------------------
-
-bool
-Core::directBurstable() const
-{
-    if (!prog_ || thread_.halted() || !tsoOrder_)
-        return false;
-    if (!fences_.empty() || recovering_ ||
-        rmw_.phase != RmwPhase::Inactive || getSOutstanding_)
-        return false;
-    if (load_.phase != LoadPhase::Inactive &&
-        load_.phase != LoadPhase::PerformWait)
-        return false;
-    // Validating a pending load's target register here lets the
-    // burst's deliver use the unchecked register write; out-of-range
-    // stays cycle-exact, which raises the same fatal a tick would.
-    if (load_.phase == LoadPhase::PerformWait && load_.rd >= numRegs)
-        return false;
-    // A live store transaction or retry state means the memory system
-    // is (or soon will be) acting on this core's behalf.
-    for (const auto &txn : storeTxns_)
-        if (txn.active)
-            return false;
-    if (!storeRetry_.empty())
-        return false;
-    // Observation hooks timestamp with eq_.now(), which a burst cannot
-    // reproduce mid-flight: leave instrumented runs cycle-exact.
-    if (recorder_ || Trace::get().enabled())
-        return false;
-    return true;
-}
-
-uint64_t
-Core::directBurst(Tick now, uint64_t max_cycles)
-{
-    // Burst-entry snapshot: rollback target for directCommit.
-    burstThread_ = thread_;
-    burstLoad_ = load_;
-    burstCompute_ = computeRemaining_;
-    burstDrainFree_ = storeDrainFreeAt_;
-    wb_.save(burstWb_);
-    burstDirty_ = false;
-    lineUndo_.clear();
-    touchLog_.clear();
-    occCount_.assign(wb_.capacity() + 1, 0);
-    burstStats_ = BurstStats{};
-
-    // The program is immutable while bound, so raw instruction
-    // access is safe wherever the trace cache reports a non-Breaker
-    // kind (kind() itself bounds-checks the PC).
-    const Instr *code = prog_->instrs.data();
-
-    // In-burst line memo. No fill or eviction can happen inside a
-    // burst (any action that would send a request aborts it first) and
-    // external traffic is excluded by System::run's window, so the
-    // line-address -> slot mapping is stable for the burst's duration;
-    // only the line's own fields change, and those are read through
-    // the pointer. Two slots cover the common pattern of a spin loop
-    // alternating between a load line and a store line. Each slot also
-    // remembers whether the line already has a rollback snapshot in
-    // lineUndo_, making the drain path's first-touch check O(1).
-    Addr memoAddr0 = ~Addr(0), memoAddr1 = ~Addr(0);
-    CacheLine *memoLine0 = nullptr, *memoLine1 = nullptr;
-    bool memoSnap0 = false, memoSnap1 = false;
-    auto findLine = [&](Addr la) -> CacheLine * {
-        if (la == memoAddr0)
-            return memoLine0;
-        if (la == memoAddr1) {
-            std::swap(memoAddr0, memoAddr1);
-            std::swap(memoLine0, memoLine1);
-            std::swap(memoSnap0, memoSnap1);
-            return memoLine0;
-        }
-        memoAddr1 = memoAddr0;
-        memoLine1 = memoLine0;
-        memoSnap1 = memoSnap0;
-        memoAddr0 = la;
-        memoLine0 = l1_.find(la);
-        memoSnap0 = false;
-        return memoLine0;
-    };
-
-    // Line slot of a load already in PerformWait, resolved once here
-    // and thereafter captured at issue time, so delivery needs no
-    // lookup (slots are stable for the burst's duration).
-    CacheLine *loadLine = load_.phase == LoadPhase::PerformWait
-                              ? l1_.find(load_.line)
-                              : nullptr;
-
-    const Tick last = now + max_cycles; // final cycle of the window
-    uint64_t c = 0;
-    while (c < max_cycles) {
-        Tick t = now + c + 1;
-
-        // --- inert-run fast path -------------------------------------
-        // When no stage can act at t, every cycle up to the next unit
-        // deadline is identical: same (empty) stage walk, same
-        // occupancy, same classification — so a whole run advances in
-        // O(1). A non-exclusive write-buffer head means the next drain
-        // attempt sends a GetX, which ends the burst here, before any
-        // mutation.
-        WriteBuffer::Entry *head = wb_.tsoHead();
-        CacheLine *headLine = nullptr;
-        if (head) {
-            headLine = findLine(lineAlign(head->addr));
-            if (!headLine || (headLine->state != MesiState::Modified &&
-                              headLine->state != MesiState::Exclusive))
-                break; // a GetX would go out at t
-        }
-        bool store_can_act = head && t >= storeDrainFreeAt_;
-        bool load_ready =
-            load_.phase == LoadPhase::PerformWait && t >= load_.readyAt;
-        bool exec_can_act = computeRemaining_ == 0 &&
-                            load_.phase == LoadPhase::Inactive;
-        if (!store_can_act && !load_ready && !exec_can_act) {
-            Tick until = last; // run may extend to the window end
-            if (head)
-                until = std::min(until, storeDrainFreeAt_ - 1);
-            if (load_.phase == LoadPhase::PerformWait)
-                until = std::min(until, load_.readyAt - 1);
-            bool busy_run = computeRemaining_ > 0;
-            if (busy_run)
-                until = std::min(until, t + computeRemaining_ - 1);
-            uint64_t run = uint64_t(until - t + 1);
-            occAdd(wb_.size(), run);
-            if (busy_run) {
-                // Synthetic busy credits, as in tick: the count-down
-                // classifies cycles busy but retires no instructions.
-                computeRemaining_ -= run;
-                burstStats_.busy += run;
-            } else {
-                // All units waiting on fixed future ticks: the state
-                // feeding stallBucket() is constant across the run.
-                burstStats_.stallN[unsigned(stallBucket())] += run;
-            }
-            c += run;
-            continue;
-        }
-
-        // --- action cycle, mirroring tick()'s stage order ------------
-        unsigned occ_here = wb_.size();
-        uint64_t cyc_retired = 0;
-        bool mutated = false;
-        bool aborted = false;
-
-        // store issue (issueStores mirror: TSO, no fences, no retry
-        // state; only local exclusive-hit drains are burstable). The
-        // first candidate and its line carry over from the inert check,
-        // which already proved the line exclusive.
-        {
-            WriteBuffer::Entry *e = head;
-            CacheLine *l = headLine;
-            while (e && t >= storeDrainFreeAt_) {
-                if (!memoSnap0) {
-                    // findLine left this line in slot 0. First mutation
-                    // in this burst (as far as the memo knows):
-                    // snapshot it.
-                    lineUndo_.push_back({l, l->state, l->data});
-                    memoSnap0 = true;
-                }
-                // writeWordExclusive, minus its LRU touch and storeHits
-                // increment — those are applied only on commit.
-                l->state = MesiState::Modified;
-                l->data[wordInLine(e->addr)] = e->value;
-                touchAdd(l);
-                burstStats_.l1StHits++;
-                storeDrainFreeAt_ = t + cfg_.storeDrainLatency;
-                // finishStore minus the (empty) retry-state lookup and
-                // the (disabled) trace hook.
-                wb_.complete(*e);
-                burstStats_.drained++;
-                mutated = true;
-                e = wb_.tsoHead();
-                if (!e)
-                    break;
-                l = findLine(lineAlign(e->addr));
-                if (!l || (l->state != MesiState::Modified &&
-                           l->state != MesiState::Exclusive)) {
-                    aborted = true; // a GetX would go out
-                    break;
-                }
-            }
-        }
-
-        // load unit (only Inactive / PerformWait are burstable)
-        if (!aborted && load_ready) {
-            CacheLine *l = loadLine;
-            if (!l) {
-                // Line absent at issue: cannot happen without external
-                // traffic, but the cycle-exact path handles it, so
-                // just fall back.
-                aborted = true;
-            } else {
-                // readWord, minus its LRU touch and loadHits increment
-                // (applied on commit), then Performed -> gate walk over
-                // zero fences -> deliver.
-                uint64_t v = l->data[wordInLine(load_.addr)];
-                touchAdd(l);
-                burstStats_.l1LdHits++;
-                load_.value = v;
-                // rd validated: by the trace cache for burst-issued
-                // loads, by directBurstable for a pre-burst one.
-                thread_.setRegUnchecked(load_.rd, v);
-                thread_.setPc(thread_.pc() + 1);
-                load_ = LoadOp{};
-                loadLine = nullptr;
-                cyc_retired++;
-                burstStats_.instr++;
-                burstStats_.ldDeliv++;
-                mutated = true;
-            }
-        }
-
-        // execute
-        if (!aborted) {
-            if (computeRemaining_ > 0) {
-                computeRemaining_--;
-                mutated = true;
-                // Synthetic busy credit, as in tick: classifies the
-                // cycle busy but does NOT count a retired instruction.
-                cyc_retired++;
-            } else if (load_.phase == LoadPhase::Inactive) {
-                unsigned budget = cfg_.issueWidth;
-                bool cont = true;
-                while (cont && budget > 0 && !aborted) {
-                    uint64_t pc = thread_.pc();
-                    const uint64_t op = trace_.op(pc); // kind + run
-                    switch (TraceCache::opKind(op)) {
-                      case TraceCache::Kind::Pure: {
-                        unsigned k = std::min<uint64_t>(
-                            budget, TraceCache::opRun(op));
-                        for (unsigned i = 0; i < k; i++)
-                            thread_.executeNonMemUnchecked(
-                                code[thread_.pc()]);
-                        cyc_retired += k;
-                        burstStats_.instr += k;
-                        budget -= k;
-                        mutated = true;
-                        break;
-                      }
-                      case TraceCache::Kind::Control:
-                        thread_.executeNonMemUnchecked(code[pc]);
-                        cyc_retired++;
-                        burstStats_.instr++;
-                        budget--;
-                        mutated = true;
-                        break;
-                      case TraceCache::Kind::Load: {
-                        const Instr &ins = code[pc];
-                        Addr addr =
-                            thread_.regUnchecked(ins.ra) + uint64_t(ins.imm);
-                        if (!isWordAligned(addr)) {
-                            aborted = true; // cycle-exact path fatals
-                            break;
-                        }
-                        burstStats_.ldExec++;
-                        load_ = LoadOp{};
-                        load_.addr = addr;
-                        load_.line = lineAlign(addr);
-                        load_.rd = ins.rd;
-                        mutated = true;
-                        if (const WriteBuffer::Entry *e =
-                                wb_.forwardLookup(addr)) {
-                            // No fences, so no strong fence between the
-                            // store and the load: forward and deliver.
-                            burstStats_.ldFwd++;
-                            thread_.setRegUnchecked(ins.rd, e->value);
-                            thread_.setPc(pc + 1);
-                            load_ = LoadOp{};
-                            cyc_retired++;
-                            burstStats_.instr++;
-                            burstStats_.ldDeliv++;
-                        } else if (CacheLine *ll = findLine(load_.line)) {
-                            load_.phase = LoadPhase::PerformWait;
-                            load_.readyAt = t + cfg_.l1HitLatency;
-                            loadLine = ll; // for the lookup-free deliver
-                        } else {
-                            aborted = true; // a GetS would go out
-                            break;
-                        }
-                        cont = false; // Ld ends the issue group
-                        break;
-                      }
-                      case TraceCache::Kind::Store: {
-                        const Instr &ins = code[pc];
-                        if (wb_.full()) {
-                            cont = false; // stalls; classified below
-                            break;
-                        }
-                        Addr addr =
-                            thread_.regUnchecked(ins.ra) + uint64_t(ins.imm);
-                        if (!isWordAligned(addr)) {
-                            aborted = true; // cycle-exact path fatals
-                            break;
-                        }
-                        wb_.push(addr, thread_.regUnchecked(ins.rb));
-                        thread_.setPc(pc + 1);
-                        cyc_retired++;
-                        burstStats_.instr++;
-                        budget--;
-                        burstStats_.stExec++;
-                        mutated = true;
-                        break;
-                      }
-                      case TraceCache::Kind::Compute: {
-                        const Instr &ins = code[pc];
-                        computeRemaining_ = uint64_t(ins.imm);
-                        thread_.setPc(pc + 1);
-                        cyc_retired++;
-                        burstStats_.instr++;
-                        mutated = true;
-                        cont = false; // Compute ends the issue group
-                        break;
-                      }
-                      case TraceCache::Kind::Breaker:
-                        aborted = true;
-                        break;
-                    }
-                }
-            }
-            // else: execution stalls behind the pending load.
-        }
-
-        if (aborted) {
-            // Cycle t will be re-run by the cycle-exact path (which
-            // also raises any fatal). A partially executed cycle makes
-            // the burst dirty: directCommit must roll back even when
-            // it keeps every completed cycle.
-            burstDirty_ = mutated;
-            break;
-        }
-
-        // Complete cycle t: occupancy sample and classification,
-        // exactly as tick()'s prologue and classifyCycle record them.
-        occAdd(occ_here, 1);
-        if (cyc_retired > 0)
-            burstStats_.busy++;
-        else
-            burstStats_.stallN[unsigned(stallBucket())]++;
-        c++;
-    }
-
-    burstLen_ = c;
-    return c;
-}
-
-void
-Core::rollbackBurst()
-{
-    // Restore the mutated L1 lines from their first-touch snapshots —
-    // in reverse order, so if a line was snapshotted twice (it fell
-    // out of the burst's memo between drains) the oldest snapshot is
-    // the one that sticks — then drop the write buffer and core state
-    // back to the burst-entry snapshot wholesale.
-    for (auto it = lineUndo_.rbegin(); it != lineUndo_.rend(); ++it) {
-        it->l->state = it->state;
-        it->l->data = it->data;
-    }
-    wb_.restore(burstWb_);
-    thread_ = burstThread_;
-    load_ = burstLoad_;
-    computeRemaining_ = burstCompute_;
-    storeDrainFreeAt_ = burstDrainFree_;
-    lineUndo_.clear();
-    touchLog_.clear();
-    burstStats_ = BurstStats{};
-    burstLen_ = 0;
-    burstDirty_ = false;
-}
-
-void
-Core::flushBurst()
-{
-    // Lazily-bound counters are incremented only when nonzero, so the
-    // report keeps the exact shape of a cycle-exact run.
-    for (unsigned v = 0; v < occCount_.size(); v++)
-        if (occCount_[v])
-            hot_.wbOccupancy.sampleN(double(v), occCount_[v]);
-    if (burstStats_.busy)
-        hot_.busyCycles.inc(burstStats_.busy);
-    for (unsigned i = 0; i < numStallBuckets; i++)
-        if (burstStats_.stallN[i])
-            recordStallCycles(StallBucket(i), burstStats_.stallN[i]);
-    if (burstStats_.instr)
-        hot_.instrRetired.inc(burstStats_.instr);
-    if (burstStats_.drained)
-        hot_.storesDrained.inc(burstStats_.drained);
-    if (burstStats_.ldExec)
-        hot_.loadsExecuted.inc(burstStats_.ldExec);
-    if (burstStats_.ldDeliv)
-        hot_.loadsDelivered.inc(burstStats_.ldDeliv);
-    if (burstStats_.stExec)
-        hot_.storesExecuted.inc(burstStats_.stExec);
-    if (burstStats_.ldFwd)
-        stats_.scalar("loadsForwarded").inc(burstStats_.ldFwd);
-    if (burstStats_.l1LdHits)
-        l1_.countLoadHits(burstStats_.l1LdHits);
-    if (burstStats_.l1StHits)
-        l1_.countStoreHits(burstStats_.l1StHits);
-    for (const TouchRun &r : touchLog_)
-        l1_.touchLineN(*r.l, r.n);
-    lineUndo_.clear();
-    touchLog_.clear();
-    burstStats_ = BurstStats{};
-    burstLen_ = 0;
-    burstDirty_ = false;
-}
-
-void
-Core::directCommit(Tick now, uint64_t commit)
-{
-    if (commit > burstLen_)
-        panic("core %d: commit %lu past burst length %lu", id_,
-              (unsigned long)commit, (unsigned long)burstLen_);
-    if (commit == burstLen_ && !burstDirty_) {
-        flushBurst();
-        return;
-    }
-    rollbackBurst();
-    if (commit == 0)
-        return;
-    // Re-execute the committed prefix. The first `commit` cycles of
-    // the original burst completed cleanly, and a burst is a
-    // deterministic function of its start state, so a re-run bounded
-    // by `commit` replays them exactly.
-    uint64_t r = directBurst(now, commit);
-    if (r != commit || burstDirty_)
-        panic("core %d: burst replay diverged (%lu of %lu)", id_,
-              (unsigned long)r, (unsigned long)commit);
-    flushBurst();
 }
 
 // ---------------------------------------------------------------------

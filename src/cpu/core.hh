@@ -35,7 +35,6 @@
 #include <optional>
 
 #include "cpu/cpi_stack.hh"
-#include "cpu/trace_cache.hh"
 #include "cpu/write_buffer.hh"
 #include "fence/bypass_set.hh"
 #include "fence/fence_kind.hh"
@@ -98,55 +97,6 @@ class Core
      * statistics as one call for their sum.
      */
     void skipCycles(uint64_t n);
-
-    /**
-     * Direct-execution protocol (see DESIGN.md "Run-loop arbitration").
-     * True when the core's next cycles can be batch-interpreted by
-     * directBurst: a bound, running TSO thread with no fences, RMW,
-     * store transactions, retry state, outstanding GetS, or recovery
-     * in flight; the load unit at most waiting out an L1-hit latency;
-     * and no observation hooks (recorder/trace) that would timestamp
-     * events mid-burst. Conservative like quiescent(): declining to
-     * burst is always correct.
-     */
-    bool directBurstable() const;
-
-    /**
-     * Speculatively batch-interpret up to `max_cycles` cycles starting
-     * at `now + 1`, mutating core-local state (thread, write buffer,
-     * own L1 lines via exclusive store drains) but never sending a
-     * message, scheduling an event, or touching a statistic. Stops
-     * early at the first cycle that would act on the outside world
-     * (cache miss, fence, RMW, Mark, Halt) and returns the number of
-     * cleanly completed cycles. Inert stretches — compute count-downs
-     * and stall cycles whose every stage is provably idle — are
-     * advanced in O(1) rather than cycle by cycle.
-     *
-     * The burst is a *transaction*: every mutation is journaled, and
-     * nothing is final until directCommit(). The caller must follow
-     * every directBurst with exactly one directCommit.
-     *
-     * Caller contract (System::run): no queued event may fire and no
-     * other core's message may arrive at or before `now + max_cycles`.
-     * The system guarantees it by bounding max_cycles before the next
-     * queued event and every sleeping core's wake, and committing only
-     * the minimum progress over the bursting cores — see DESIGN.md
-     * "Run-loop arbitration".
-     */
-    uint64_t directBurst(Tick now, uint64_t max_cycles);
-
-    /**
-     * Resolve the pending burst: keep exactly the first `commit`
-     * cycles (commit <= the length directBurst returned) and record
-     * their statistics — bit-identical to `commit` tick() calls. When
-     * the burst ran further than `commit` (another core in the round
-     * advanced less) or aborted mid-cycle, the journal rolls all of it
-     * back and the committed prefix is deterministically re-executed.
-     * After the call the core's state and statistics are those of
-     * tick()s through `now + commit`, so the caller's next tick of this
-     * core is at `now + commit + 1`. commit == 0 is a pure rollback.
-     */
-    void directCommit(Tick now, uint64_t commit);
 
     /** Thread halted and all buffered/in-flight work has drained. */
     bool done() const;
@@ -218,7 +168,6 @@ class Core
     ThreadState &thread() { return thread_; }
     const BypassSet &bypassSet() const { return bs_; }
     const WriteBuffer &writeBuffer() const { return wb_; }
-    const TraceCache &traceCache() const { return trace_; }
 
   private:
     // --- pipeline stages, called in tick() order ----------------------
@@ -402,88 +351,6 @@ class Core
     const Program *prog_ = nullptr;
     ThreadState thread_;
 
-    /** Pre-decoded burst classification of prog_ (rebuilt wholesale by
-     *  setProgram; a rewritten program is a new Program object). */
-    TraceCache trace_;
-
-    // --- direct-execution burst journal -------------------------------
-    // A burst is a transaction over core-local state: directBurst
-    // records everything needed to undo it, directCommit either keeps
-    // it (flushing the batched statistics) or rolls it back and
-    // re-executes the committed prefix. All containers are members so
-    // their capacity is reused across bursts.
-
-    /** Pre-mutation snapshot of an L1 line the burst drained into,
-     *  taken at (roughly) first touch: the line memo tracks whether a
-     *  snapshot was already saved, so a line falling out of the memo
-     *  may be saved again — harmless, because rollback restores in
-     *  reverse order and the oldest snapshot lands last. Line slots
-     *  are stable for a burst's duration (no fills or evictions can
-     *  happen inside one), so raw pointers are safe. */
-    struct LineUndo
-    {
-        CacheLine *l;
-        MesiState state;
-        LineData data;
-    };
-    std::vector<LineUndo> lineUndo_;
-    /** L1 lines read/written by committed-if-kept cycles, in access
-     *  order, run-length encoded (LRU-exact: n consecutive touches of
-     *  one line advance the LRU clock by n and leave the line stamped
-     *  with the final value, which is what touchLineN applies). Touches
-     *  happen only on commit. */
-    struct TouchRun
-    {
-        CacheLine *l;
-        uint64_t n;
-    };
-    std::vector<TouchRun> touchLog_;
-    /** Per-value write-buffer occupancy sample counts, indexed by
-     *  occupancy (bounded by the buffer capacity). A histogram is
-     *  order-free, so flushing counts with sampleN reproduces tick()'s
-     *  per-cycle sample() stream exactly. */
-    std::vector<uint64_t> occCount_;
-    /** Batched statistic deltas, flushed on commit. */
-    struct BurstStats
-    {
-        uint64_t busy = 0;
-        uint64_t instr = 0;
-        uint64_t drained = 0;
-        uint64_t ldExec = 0, ldDeliv = 0, ldFwd = 0, stExec = 0;
-        uint64_t l1LdHits = 0, l1StHits = 0;
-        uint64_t stallN[numStallBuckets] = {};
-    };
-    BurstStats burstStats_;
-    /** Core state snapshot at burst entry. */
-    ThreadState burstThread_;
-    LoadOp burstLoad_;
-    uint64_t burstCompute_ = 0;
-    Tick burstDrainFree_ = 0;
-    WriteBuffer::Snapshot burstWb_;
-    /** The burst aborted mid-cycle, leaving a partial cycle's effects
-     *  in place: commit must replay even at full length. */
-    bool burstDirty_ = false;
-
-    /** Cycles the pending burst completed (directBurst's last return
-     *  value; directCommit's replay decision needs it). */
-    uint64_t burstLen_ = 0;
-
-    /** Roll every burst mutation back to the burst-entry snapshot. */
-    void rollbackBurst();
-    /** Flush the batched statistics and LRU touches of a fully kept
-     *  burst. */
-    void flushBurst();
-    /** Count n occupancy samples of value v (v <= wb capacity). */
-    void occAdd(unsigned v, uint64_t n) { occCount_[v] += n; }
-    /** Log one LRU touch of `l`, merging consecutive repeats. */
-    void touchAdd(CacheLine *l)
-    {
-        if (!touchLog_.empty() && touchLog_.back().l == l)
-            touchLog_.back().n++;
-        else
-            touchLog_.push_back({l, 1});
-    }
-
     WriteBuffer wb_;
     BypassSet bs_;
     std::deque<FenceInstance> fences_;
@@ -576,8 +443,8 @@ class Core
 };
 
 // Inline: stallBucket classifies every non-retiring cycle of both the
-// tick and burst paths, and anyStoreBounced is its hottest input (the
-// retry map is empty whenever no store has missed).
+// tick and sleep-replay paths, and anyStoreBounced is its hottest input
+// (the retry map is empty whenever no store has missed).
 inline bool
 Core::anyStoreBounced() const
 {

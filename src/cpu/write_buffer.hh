@@ -47,7 +47,7 @@ class WriteBuffer
     unsigned capacity() const { return capacity_; }
 
     /** Enqueue a retired store; returns its sequence number.
-     *  Inline: a hot operation of both tick and burst execution. */
+     *  Inline: a hot operation of every core tick. */
     uint64_t push(Addr addr, uint64_t value)
     {
         if (full())
@@ -77,17 +77,6 @@ class WriteBuffer
     Entry *nextIssuable(bool tso_order, uint64_t max_seq = ~uint64_t(0),
                         uint64_t after_seq = 0);
 
-    /** Inline TSO fast path of nextIssuable(true) with the default
-     *  bounds (entry seqs start at 1, so the default after_seq of 0
-     *  never masks the head) — the direct-execution burst's per-cycle
-     *  head lookup. */
-    Entry *tsoHead()
-    {
-        if (entries_.empty())
-            return nullptr;
-        Entry &head = entries_.front();
-        return (!head.issued && !head.done) ? &head : nullptr;
-    }
     const Entry *nextIssuable(bool tso_order,
                               uint64_t max_seq = ~uint64_t(0),
                               uint64_t after_seq = 0) const
@@ -100,7 +89,7 @@ class WriteBuffer
     Entry *issuedEntryForLine(Addr line_addr);
 
     /** Mark an entry merged and drop the completed prefix.
-     *  Inline: a hot operation of both tick and burst execution. */
+     *  Inline: a hot operation of every core tick. */
     void complete(Entry &entry)
     {
         entry.done = true;
@@ -115,8 +104,7 @@ class WriteBuffer
     /**
      * Youngest entry matching a word address, for store->load
      * forwarding; nullptr if none. (Word-granularity accesses only, so
-     * partial overlap cannot occur.) Inline: the direct-execution burst
-     * calls it for every load.
+     * partial overlap cannot occur.) Inline: every load calls it.
      */
     const Entry *forwardLookup(Addr addr) const
     {
@@ -148,43 +136,6 @@ class WriteBuffer
 
     /** Zero the occupancy accounting (post-warmup stat reset). */
     void resetCounters();
-
-    // --- direct-execution undo support ---------------------------------
-    /**
-     * Wholesale state capture for the burst interpreter's rollback. A
-     * burst only push()es and complete()s — both fully described by the
-     * entry deque plus the accounting counters — so restoring a
-     * burst-entry snapshot undoes every buffer effect at once,
-     * including the sequence numbering (a re-executed store gets the
-     * same seq). The caller owns the Snapshot and reuses it across
-     * bursts so the deque copy recycles its capacity.
-     */
-    struct Snapshot
-    {
-        std::deque<Entry> entries;
-        uint64_t nextSeq = 1;
-        uint64_t totalPushes = 0;
-        uint64_t totalDropped = 0;
-        unsigned highWater = 0;
-    };
-
-    void save(Snapshot &s) const
-    {
-        s.entries = entries_;
-        s.nextSeq = nextSeq_;
-        s.totalPushes = totalPushes_;
-        s.totalDropped = totalDropped_;
-        s.highWater = highWater_;
-    }
-
-    void restore(const Snapshot &s)
-    {
-        entries_ = s.entries;
-        nextSeq_ = s.nextSeq;
-        totalPushes_ = s.totalPushes;
-        totalDropped_ = s.totalDropped;
-        highWater_ = s.highWater;
-    }
 
   private:
     unsigned capacity_;

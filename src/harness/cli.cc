@@ -159,10 +159,8 @@ addRunFlags(Cli &cli, RunFlags &f)
 {
     cli.count("--jobs", "N", "host worker threads (default 1)", f.jobs, 1,
               4096)
-        .flag("--no-fast-forward", "tick every idle cycle (A/B check)",
+        .flag("--no-fast-forward", "tick every core every cycle (A/B check)",
               [&f] { f.fastForward = false; })
-        .flag("--no-direct-exec", "no batched direct execution (A/B check)",
-              [&f] { f.directExec = false; })
         .flag("--check", "check each execution against the TSO axioms",
               f.check)
         .text("--stats-json", "PATH", "write the runs' stats documents",
@@ -195,7 +193,6 @@ applyRunFlags(const RunFlags &f)
     setFenceProfilePath(f.fenceProfile);
     setHeartbeatPath(f.heartbeat);
     setFastForwardEnabled(f.fastForward);
-    setDirectExecEnabled(f.directExec);
     setCheckExecutionEnabled(f.check);
     setStatsIntervalDefault(f.statsInterval);
     setWatchdogCyclesDefault(f.watchdogCycles);

@@ -100,7 +100,6 @@ struct RunFlags
 {
     unsigned jobs = 1;
     bool fastForward = true;
-    bool directExec = true;
     bool check = false;
     std::string statsJson, trace, fenceProfile, obsDir, heartbeat, cacheDir;
     Tick statsInterval = 0;

@@ -54,7 +54,6 @@ statsLogMutex()
 thread_local std::vector<std::string> *runCaptureSink = nullptr;
 
 std::atomic<bool> fastForwardDefault{true};
-std::atomic<bool> directExecDefault{true};
 std::atomic<Tick> watchdogDefault{1'000'000};
 std::atomic<bool> checkExecutionDefault{false};
 std::atomic<Tick> statsIntervalDefault_{0};
@@ -246,16 +245,10 @@ setFastForwardEnabled(bool on)
     fastForwardDefault.store(on, std::memory_order_relaxed);
 }
 
-void
-setDirectExecEnabled(bool on)
-{
-    directExecDefault.store(on, std::memory_order_relaxed);
-}
-
 bool
 directExecEnabled()
 {
-    return directExecDefault.load(std::memory_order_relaxed);
+    return false;
 }
 
 bool
@@ -501,7 +494,6 @@ runExperiment(const SystemConfig &machine, const Family &f,
     // The host and observer fields come from the process-wide defaults.
     SystemConfig cfg = machine;
     cfg.fastForward = fastForwardEnabled();
-    cfg.directExec = directExecEnabled();
     cfg.watchdogCycles = watchdogCyclesDefault();
     cfg.fenceProfileRaw = !fenceProfilePath().empty();
     cfg.checkExecution = f.forceCheck || checkExecutionEnabled();

@@ -87,13 +87,13 @@ struct ExperimentResult
 
 /**
  * The experiment runners. Each builds a System from `machine` with the
- * host and observer fields (fast-forward, direct execution, watchdog,
- * fence profile, --check, stats interval) laid over it from the
- * process-wide defaults below, checks the result cache, installs the
- * workload, runs it, validates the functional result and records the
- * stats document. `stats_out`, if set, receives a full
- * System::dumpStats() dump before the system is torn down. The
- * `(design, cores)` forms run the default machine.
+ * host and observer fields (fast-forward, watchdog, fence profile,
+ * --check, stats interval) laid over it from the process-wide defaults
+ * below, checks the result cache, installs the workload, runs it,
+ * validates the functional result and records the stats document.
+ * `stats_out`, if set, receives a full System::dumpStats() dump before
+ * the system is torn down. The `(design, cores)` forms run the default
+ * machine.
  */
 
 /** Run one Cilk app to completion. */
@@ -217,12 +217,7 @@ void appendStatsJsonRunsDirect(std::vector<std::string> docs);
 void setFastForwardEnabled(bool on);
 bool fastForwardEnabled();
 
-/**
- * Process-wide default for SystemConfig::directExec, consulted by the
- * experiment runners (on unless turned off). `--no-direct-exec` A/B
- * switch; simulated results are bit-identical either way.
- */
-void setDirectExecEnabled(bool on);
+/** Returns false; ROADMAP item 1 deletes it with perfbench's read. */
 bool directExecEnabled();
 
 /**

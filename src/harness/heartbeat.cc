@@ -37,10 +37,12 @@ SweepHeartbeat::SweepHeartbeat(std::string path, size_t total_jobs,
     file_.open(path_, std::ios::trunc);
     if (!file_)
         warn("cannot write sweep heartbeat to '%s'", path_.c_str());
-    startedAt_ = nowSeconds();
-    writeLine(format("{\"event\":\"sweep-start\",\"t\":%.3f,"
-                     "\"total\":%zu}",
-                     startedAt_, total_jobs));
+    writeLine([&](double t) {
+        startedAt_ = t;
+        return format("{\"event\":\"sweep-start\",\"t\":%.3f,"
+                      "\"total\":%zu}",
+                      t, total_jobs);
+    });
     writer_ = std::thread([this] { writerLoop(); });
 }
 
@@ -53,11 +55,12 @@ SweepHeartbeat::~SweepHeartbeat()
     wake_.notify_all();
     if (writer_.joinable())
         writer_.join();
-    double t = nowSeconds();
-    writeLine(format("{\"event\":\"sweep-end\",\"t\":%.3f,"
-                     "\"done\":%zu,\"total\":%zu,"
-                     "\"elapsedSeconds\":%.3f}",
-                     t, done_.load(), jobs_.size(), t - startedAt_));
+    writeLine([&](double t) {
+        return format("{\"event\":\"sweep-end\",\"t\":%.3f,"
+                      "\"done\":%zu,\"total\":%zu,"
+                      "\"elapsedSeconds\":%.3f}",
+                      t, done_.load(), jobs_.size(), t - startedAt_);
+    });
 }
 
 double
@@ -69,12 +72,12 @@ SweepHeartbeat::nowSeconds() const
 }
 
 void
-SweepHeartbeat::writeLine(const std::string &line)
+SweepHeartbeat::writeLine(const std::function<std::string(double)> &line)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (!file_)
         return;
-    file_ << line << '\n';
+    file_ << line(nowSeconds()) << '\n';
     file_.flush(); // the whole point is mid-flight visibility
 }
 
@@ -91,11 +94,13 @@ SweepHeartbeat::jobStarted(size_t job, const std::string &label,
         j.configHash = config_digest;
     }
     j.state.store(JobState::Running, std::memory_order_release);
-    writeLine(format("{\"event\":\"job-start\",\"t\":%.3f,"
-                     "\"job\":%zu,\"label\":\"%s\","
-                     "\"configHash\":\"%s\"}",
-                     nowSeconds(), job, jsonEscape(label).c_str(),
-                     jsonEscape(config_digest).c_str()));
+    writeLine([&](double t) {
+        return format("{\"event\":\"job-start\",\"t\":%.3f,"
+                      "\"job\":%zu,\"label\":\"%s\","
+                      "\"configHash\":\"%s\"}",
+                      t, job, jsonEscape(label).c_str(),
+                      jsonEscape(config_digest).c_str());
+    });
 }
 
 std::atomic<uint64_t> *
@@ -116,33 +121,34 @@ SweepHeartbeat::jobFinished(size_t job, Tick cycles, bool valid,
     j.cycles.store(cycles, std::memory_order_relaxed);
     j.state.store(JobState::Done, std::memory_order_release);
     done_.fetch_add(1, std::memory_order_relaxed);
-    writeLine(format("{\"event\":\"job-end\",\"t\":%.3f,\"job\":%zu,"
-                     "\"cycles\":%llu,\"valid\":%s,\"watchdog\":%s,"
-                     "\"status\":\"%s\",\"cacheHit\":%s,"
-                     "\"skipped\":%s}",
-                     nowSeconds(), job, (unsigned long long)cycles,
-                     valid ? "true" : "false",
-                     watchdog_fired ? "true" : "false",
-                     jsonEscape(status).c_str(),
-                     cache_hit ? "true" : "false",
-                     skipped ? "true" : "false"));
+    writeLine([&](double t) {
+        return format("{\"event\":\"job-end\",\"t\":%.3f,\"job\":%zu,"
+                      "\"cycles\":%llu,\"valid\":%s,\"watchdog\":%s,"
+                      "\"status\":\"%s\",\"cacheHit\":%s,"
+                      "\"skipped\":%s}",
+                      t, job, (unsigned long long)cycles,
+                      valid ? "true" : "false",
+                      watchdog_fired ? "true" : "false",
+                      jsonEscape(status).c_str(),
+                      cache_hit ? "true" : "false",
+                      skipped ? "true" : "false");
+    });
 }
 
 void
 SweepHeartbeat::writeProgress()
 {
-    double t = nowSeconds();
-    size_t done = done_.load(std::memory_order_relaxed);
-    size_t total = jobs_.size();
-    // Naive completed-jobs ETA; good enough for "is it stuck?".
-    std::string eta = "null";
-    if (done > 0 && done < total) {
-        double per_job = (t - startedAt_) / double(done);
-        eta = format("%.1f", per_job * double(total - done));
-    }
-    std::string active;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
+    // Runs under mu_ (see writeLine), which also guards label/configHash.
+    writeLine([&](double t) {
+        size_t done = done_.load(std::memory_order_relaxed);
+        size_t total = jobs_.size();
+        // Naive completed-jobs ETA; good enough for "is it stuck?".
+        std::string eta = "null";
+        if (done > 0 && done < total) {
+            double per_job = (t - startedAt_) / double(done);
+            eta = format("%.1f", per_job * double(total - done));
+        }
+        std::string active;
         for (size_t i = 0; i < jobs_.size(); i++) {
             Job &j = *jobs_[i];
             if (j.state.load(std::memory_order_acquire) !=
@@ -158,11 +164,11 @@ SweepHeartbeat::writeProgress()
                 (unsigned long long)j.cycles.load(
                     std::memory_order_relaxed));
         }
-    }
-    writeLine(format("{\"event\":\"progress\",\"t\":%.3f,"
-                     "\"done\":%zu,\"total\":%zu,\"etaSeconds\":%s,"
-                     "\"active\":[%s]}",
-                     t, done, total, eta.c_str(), active.c_str()));
+        return format("{\"event\":\"progress\",\"t\":%.3f,"
+                      "\"done\":%zu,\"total\":%zu,\"etaSeconds\":%s,"
+                      "\"active\":[%s]}",
+                      t, done, total, eta.c_str(), active.c_str());
+    });
 }
 
 void

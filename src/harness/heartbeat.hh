@@ -20,6 +20,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -83,7 +84,10 @@ class SweepHeartbeat
         std::string configHash; ///< ConfigKey digest, guarded by mu_
     };
 
-    void writeLine(const std::string &line);
+    /** Append the line `line(t)` builds for the current time `t`.
+     *  The stamp is taken under mu_, so lines from the job threads
+     *  and the writer thread reach the file in timestamp order. */
+    void writeLine(const std::function<std::string(double)> &line);
     void writeProgress();
     void writerLoop();
     double nowSeconds() const;

@@ -54,15 +54,6 @@ class CacheArray
     /** Mark a line most-recently-used. */
     void touch(CacheLine &line);
 
-    /** Apply n consecutive touches of one line at once: the clock
-     *  advances by n and the line carries the final stamp — exactly
-     *  the state n touch() calls would leave. */
-    void touchN(CacheLine &line, uint64_t n)
-    {
-        lruClock_ += n;
-        line.lruStamp = lruClock_;
-    }
-
     /**
      * Pick the insertion slot for line_addr: an invalid way if one exists,
      * else the LRU way (whose previous content the caller must evict).

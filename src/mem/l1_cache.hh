@@ -58,20 +58,6 @@ class L1Cache
     /** True if we hold the line in Shared state. */
     bool hasShared(Addr line_addr) const;
 
-    // --- direct-execution support (see Core::directBurst) -------------
-    // A burst cycle reads and writes line data in place via find() so an
-    // aborted cycle leaves no trace in this cache; the side effects of
-    // readWord / writeWordExclusive — the LRU touch and the hit
-    // counters — are re-applied here only for cycles that commit.
-    /** Re-apply n consecutive readWord/writeWordExclusive LRU touches
-     *  of one line. */
-    void touchLineN(CacheLine &l, uint64_t n) { array_.touchN(l, n); }
-    /** Batched equivalent of readWord's statLoadHits_ increment. */
-    void countLoadHits(uint64_t n) { statLoadHits_.inc(n); }
-    /** Batched equivalent of writeWordExclusive's statStoreHits_
-     *  increment. */
-    void countStoreHits(uint64_t n) { statStoreHits_.inc(n); }
-
     /** Issue a read miss. */
     void sendGetS(Addr line_addr);
 

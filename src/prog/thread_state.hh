@@ -13,7 +13,6 @@
 #include <cstdint>
 
 #include "prog/instr.hh"
-#include "sim/logging.hh"
 
 namespace asf
 {
@@ -46,124 +45,12 @@ class ThreadState
      */
     void executeNonMem(const Instr &ins);
 
-    /**
-     * Inline executeNonMem with the register-range checks elided, for
-     * the direct-execution burst interpreter. Callers must have
-     * validated every register operand up front (TraceCache::build
-     * demotes instructions with out-of-range operands to Breaker, which
-     * routes them back to the checked path). Identical semantics
-     * otherwise: both variants compile from the one executeNonMemImpl
-     * body.
-     */
-    void executeNonMemUnchecked(const Instr &ins)
-    {
-        executeNonMemImpl<false>(ins);
-    }
-
-    /** Unchecked register read/write for trace-validated burst code. */
-    uint64_t regUnchecked(Reg r) const { return regs_[r]; }
-    void setRegUnchecked(Reg r, uint64_t v) { regs_[r] = v; }
-
   private:
-    template <bool Checked> void executeNonMemImpl(const Instr &ins);
-
     std::array<uint64_t, numRegs> regs_;
     uint64_t pc_;
     uint64_t prng_;
     bool halted_;
 };
-
-template <bool Checked>
-void
-ThreadState::executeNonMemImpl(const Instr &ins)
-{
-    auto get = [this](Reg r) {
-        if constexpr (Checked)
-            return reg(r);
-        else
-            return regs_[r];
-    };
-    auto set = [this](Reg r, uint64_t v) {
-        if constexpr (Checked)
-            setReg(r, v);
-        else
-            regs_[r] = v;
-    };
-    uint64_t next_pc = pc_ + 1;
-    switch (ins.op) {
-      case Op::Nop:
-        break;
-      case Op::Li:
-        set(ins.rd, static_cast<uint64_t>(ins.imm));
-        break;
-      case Op::Mov:
-        set(ins.rd, get(ins.ra));
-        break;
-      case Op::Add:
-        set(ins.rd, get(ins.ra) + get(ins.rb));
-        break;
-      case Op::Sub:
-        set(ins.rd, get(ins.ra) - get(ins.rb));
-        break;
-      case Op::Mul:
-        set(ins.rd, get(ins.ra) * get(ins.rb));
-        break;
-      case Op::And:
-        set(ins.rd, get(ins.ra) & get(ins.rb));
-        break;
-      case Op::Or:
-        set(ins.rd, get(ins.ra) | get(ins.rb));
-        break;
-      case Op::Xor:
-        set(ins.rd, get(ins.ra) ^ get(ins.rb));
-        break;
-      case Op::Addi:
-        set(ins.rd, get(ins.ra) + static_cast<uint64_t>(ins.imm));
-        break;
-      case Op::Andi:
-        set(ins.rd, get(ins.ra) & static_cast<uint64_t>(ins.imm));
-        break;
-      case Op::Muli:
-        set(ins.rd, get(ins.ra) * static_cast<uint64_t>(ins.imm));
-        break;
-      case Op::Shli:
-        set(ins.rd, get(ins.ra) << (ins.imm & 63));
-        break;
-      case Op::Shri:
-        set(ins.rd, get(ins.ra) >> (ins.imm & 63));
-        break;
-      case Op::Beq:
-        if (get(ins.ra) == get(ins.rb))
-            next_pc = static_cast<uint64_t>(ins.imm);
-        break;
-      case Op::Bne:
-        if (get(ins.ra) != get(ins.rb))
-            next_pc = static_cast<uint64_t>(ins.imm);
-        break;
-      case Op::Blt:
-        if (static_cast<int64_t>(get(ins.ra)) <
-            static_cast<int64_t>(get(ins.rb)))
-            next_pc = static_cast<uint64_t>(ins.imm);
-        break;
-      case Op::Bge:
-        if (static_cast<int64_t>(get(ins.ra)) >=
-            static_cast<int64_t>(get(ins.rb)))
-            next_pc = static_cast<uint64_t>(ins.imm);
-        break;
-      case Op::Jmp:
-        next_pc = static_cast<uint64_t>(ins.imm);
-        break;
-      case Op::Rand:
-        set(ins.rd, nextRand());
-        break;
-      case Op::Halt:
-        halted_ = true;
-        break;
-      default:
-        panic("executeNonMem called on '%s'", opName(ins.op));
-    }
-    pc_ = next_pc;
-}
 
 /** A W+ checkpoint is just a saved copy of the thread state. */
 using ThreadCheckpoint = ThreadState;

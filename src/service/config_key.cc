@@ -98,7 +98,6 @@ makeConfigKey(const SystemConfig &cfg, const std::string &label,
        << "weePrivateFiltering " << cfg.weePrivateFiltering << '\n'
        << "storeDrainLatency " << cfg.storeDrainLatency << '\n'
        << "fastForward " << cfg.fastForward << '\n'
-       << "directExec " << cfg.directExec << '\n'
        << "watchdogCycles " << cfg.watchdogCycles << '\n'
        << "fenceProfile " << cfg.fenceProfile << '\n'
        << "fenceProfileRaw " << cfg.fenceProfileRaw << '\n'

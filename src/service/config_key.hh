@@ -59,10 +59,10 @@ struct ConfigKey
  *
  * Every SystemConfig field participates except the host-side telemetry
  * plumbing (progressSink/progressInterval), which cannot change
- * simulated results or the stats document. Host *fast-path* switches
- * (fastForward, directExec) ARE included: they are bit-identity-gated,
- * but the cache takes no chances — a differently-switched rerun is a
- * miss, never a wrong hit.
+ * simulated results or the stats document, and the one field nothing
+ * reads (see sys/config.hh). The host fast-path switch (fastForward)
+ * IS included: it is bit-identity-gated, but the cache takes no
+ * chances — a differently-switched rerun is a miss, never a wrong hit.
  */
 ConfigKey makeConfigKey(const SystemConfig &cfg, const std::string &label,
                         const std::string &extra = "");

@@ -14,10 +14,10 @@
  * host-side, and never schedules events or touches simulated state -
  * so cycles and all cumulative statistics are bit-identical with the
  * observatory on or off. Samples end where System::run lands: a
- * fast-forward jump or direct-execution round can cross several
- * interval boundaries at once, and the sampler then emits one merged
- * sample spanning the whole elapsed range (each sample records its
- * actual [start, end] cycles) rather than ticking cycle-by-cycle. So
+ * fast-forward jump can cross several interval boundaries at once,
+ * and the sampler then emits one merged sample spanning the whole
+ * elapsed range (each sample records its actual [start, end] cycles)
+ * rather than ticking cycle-by-cycle. So
  * sample boundaries depend on the execution mode and per-metric totals
  * do not; no golden file or digest pins a timeline.
  */

@@ -34,7 +34,7 @@ const char *memoryModelName(MemoryModel m);
 
 struct SystemConfig
 {
-    /** 4-32 cores; 8 is the paper's default. */
+    /** 1-64 cores (validate() enforces it); 8 is the paper's default. */
     unsigned numCores = 8;
 
     /** Active fence design (S+, WS+, SW+, W+, Wee). */
@@ -110,17 +110,8 @@ struct SystemConfig
      */
     bool fastForward = true;
 
-    /**
-     * Direct execution: compute-bound cores batch-interpret straight-line
-     * runs of pure register ops, L1-hitting loads/stores, and compute
-     * count-downs several cycles at a time (Core::directBurst), dropping
-     * back to cycle-exact ticking at the first fence, RMW, cache miss, or
-     * other coherence-visible action. Host-side optimization only —
-     * simulated timing and statistics are bit-identical either way
-     * (enforced by tests/sys/test_direct_exec.cc). TSO cores only; RC
-     * cores always tick cycle-exactly. Off switch for A/B checks.
-     */
-    bool directExec = true;
+    /** Read by nothing; ROADMAP item 1 deletes it with perfbench's write. */
+    bool directExec = false;
 
     /**
      * Livelock/hang watchdog: if System::run observes no system-wide
@@ -129,10 +120,9 @@ struct SystemConfig
      * snapshot and returns RunResult::Watchdog instead of spinning to
      * the cycle budget. 0 disables (library default); the bench
      * binaries and asf_sim turn it on. The check runs once per window,
-     * at the same ticks in every run-loop mode (jumps and bursts stop
-     * there), so a hang is declared after between N and 2N quiet
-     * cycles and a firing run's stats do not depend on fastForward or
-     * directExec.
+     * at the same ticks with fast-forward on or off (jumps stop there),
+     * so a hang is declared after between N and 2N quiet cycles and a
+     * firing run's stats do not depend on fastForward.
      */
     Tick watchdogCycles = 0;
 

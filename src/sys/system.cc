@@ -266,52 +266,6 @@ System::tickCore(size_t i, Tick t)
     k.wake = cfg_.fastForward && c.quiescent(w) && w > t + 1 ? w : t + 1;
 }
 
-bool
-System::directRound(Tick horizon)
-{
-    // A round with less room than the minimum window costs more to
-    // snapshot and commit than ticking its cycles does.
-    static constexpr Tick kBurstWindowMin = 16;
-    static constexpr Tick kBurstWindowMax = 2048;
-    const Tick T = eq_.now();
-    if (horizon < T + kBurstWindowMin)
-        return false;
-    horizon = std::min(horizon, T + burstWindow_);
-    burstRound_.clear();
-    for (size_t i = 0; i < cores_.size(); i++) {
-        if (clocks_[i].wake > T + 1)
-            continue;
-        if (!cores_[i]->directBurstable())
-            return false;
-        burstRound_.push_back(i);
-    }
-    // A burst starts from the core's state at T, so the cycles it slept
-    // before T must be charged to that state first.
-    for (size_t i : burstRound_)
-        catchUp(i, T);
-    // Each core bursts at most as far as the round can still commit;
-    // the bursts are core-local, so their order does not matter.
-    const uint64_t W = uint64_t(horizon - T);
-    uint64_t commit = W;
-    size_t burst = 0;
-    for (; burst < burstRound_.size() && commit > 0; burst++)
-        commit = std::min<uint64_t>(
-            commit, cores_[burstRound_[burst]]->directBurst(T, commit));
-    for (size_t j = 0; j < burst; j++)
-        cores_[burstRound_[j]]->directCommit(T, commit);
-    if (commit == 0) {
-        burstWindow_ = kBurstWindowMin;
-        return false;
-    }
-    for (size_t i : burstRound_)
-        clocks_[i] = {T + commit + 1, T + commit};
-    eq_.setNow(T + commit);
-    directExecutedCycles_ += commit;
-    burstWindow_ = commit == W ? std::min(burstWindow_ * 2, kBurstWindowMax)
-                               : std::max(Tick(commit), kBurstWindowMin);
-    return true;
-}
-
 System::RunResult
 System::run(Tick max_cycles)
 {
@@ -322,9 +276,9 @@ System::run(Tick max_cycles)
         k.wake = eq_.now() + 1;
     // Livelock watchdog: declare a hang when a full window of
     // watchdogCycles passes without any core making forward progress.
-    // Every jump and burst stops at the next check tick, so checks land
-    // on the same ticks in every mode and a hang is declared after
-    // between N and 2N quiet cycles.
+    // Every jump stops at the next check tick, so checks land on the
+    // same ticks in both modes and a hang is declared after between N
+    // and 2N quiet cycles.
     const Tick wd = cfg_.watchdogCycles;
     uint64_t wd_progress = wd ? progressCount() : 0;
     Tick wd_check_at = wd ? eq_.now() + wd : maxTick;
@@ -349,9 +303,9 @@ System::run(Tick max_cycles)
             wd_check_at = eq_.now() + wd;
         }
         // Contention observatory: close any interval boundary the clock
-        // reached (a jump or direct-exec round across several
-        // boundaries yields one merged sample). Read-only and
-        // host-side, like the watchdog check above.
+        // reached (a jump across several boundaries yields one merged
+        // sample). Read-only and host-side, like the watchdog check
+        // above.
         if (intervals_ && eq_.now() >= intervals_->nextAt()) {
             syncCores();
             sampleInterval();
@@ -369,32 +323,16 @@ System::run(Tick max_cycles)
         // core sleeps while its cycles can only charge a stall bucket
         // (tickCore); only the due cores tick. With no core due and no
         // event due, the clock jumps to the first tick where anything
-        // can happen. When every due core is burstable, a
-        // direct-execution round runs them ahead together, short of
-        // every sleeper's wake. All of it is host-side only: simulated
-        // timing and statistics are bit-identical to ticking through.
+        // can happen. Both are host-side only: simulated timing and
+        // statistics are bit-identical to ticking through.
         Tick next = eq_.now() + 1;
-        if (cfg_.fastForward || cfg_.directExec) {
-            Tick sleep_until = maxTick;
-            bool any_due = false;
-            for (const CoreClock &k : clocks_) {
-                if (k.wake <= next)
-                    any_due = true;
-                else
-                    sleep_until = std::min(sleep_until, k.wake);
-            }
-            const Tick ev = eq_.nextEventTick();
-            if (!any_due) {
-                if (ev > next) {
-                    Tick target =
-                        std::min({ev, sleep_until, end, wd_check_at});
-                    fastForwardedCycles_ += target - next;
-                    next = target;
-                }
-            } else if (cfg_.directExec &&
-                       directRound(std::min({ev - 1, end - 1, wd_check_at,
-                                             sleep_until - 1}))) {
-                continue;
+        if (cfg_.fastForward) {
+            Tick target = std::min({eq_.nextEventTick(), end, wd_check_at});
+            for (const CoreClock &k : clocks_)
+                target = std::min(target, k.wake);
+            if (target > next) {
+                fastForwardedCycles_ += target - next;
+                next = target;
             }
         }
 

@@ -132,18 +132,14 @@ class System
 
     /**
      * Core::tick calls that simulated a cycle, summed over cores
-     * (host-side metric like fastForwardedCycles). cycles x cores when
-     * fast-forward and direct execution are off; per-core sleep and
-     * direct-execution rounds keep it below that.
+     * (host-side metric like fastForwardedCycles): exactly cycles x
+     * cores when fast-forward is off; per-core sleep keeps it below
+     * that.
      */
     uint64_t tickedCoreCycles() const { return tickedCoreCycles_; }
 
-    /**
-     * Cycles committed by direct-execution rounds (host-side metric
-     * like fastForwardedCycles; deliberately not part of the stats
-     * dump, which stays identical with direct execution on or off).
-     */
-    uint64_t directExecutedCycles() const { return directExecutedCycles_; }
+    /** Always 0; ROADMAP item 1 deletes it together with perfbench's read. */
+    uint64_t directExecutedCycles() const { return 0; }
 
     // --- component access ----------------------------------------------
     const SystemConfig &config() const { return cfg_; }
@@ -211,9 +207,6 @@ class System
     void wakeCore(NodeId node);
     /** Tick core i at t, then put it to sleep if it may. */
     void tickCore(size_t i, Tick t);
-    /** Run one direct-execution round over the due cores, committing at
-     *  most up to `horizon`. Returns false when it committed nothing. */
-    bool directRound(Tick horizon);
 
     /** System-wide forward-progress metric for the watchdog: any
      *  retired instruction, drained store, or busy cycle counts. */
@@ -300,7 +293,6 @@ class System
     /** Previous sample per core, for delta-based counter values. */
     std::vector<CycleBreakdown> traceCpiPrev_;
     uint64_t fastForwardedCycles_ = 0;
-    uint64_t directExecutedCycles_ = 0;
     uint64_t tickedCoreCycles_ = 0;
     /** Per-core run-loop clock (host-side; see System::run). */
     struct CoreClock
@@ -309,14 +301,6 @@ class System
         Tick synced = 0; ///< last tick its statistics account for
     };
     std::vector<CoreClock> clocks_;
-    /** Adaptive direct-execution window: doubles after every round
-     *  that commits its full window, shrinks to the achieved length
-     *  after a partial one (see System::directRound). Host-side tuning
-     *  only — rounds commit the minimum progress and roll the rest
-     *  back, so the window never changes simulated behavior. */
-    Tick burstWindow_ = 64;
-    /** Scratch list of the cores bursting in the current round. */
-    std::vector<size_t> burstRound_;
 };
 
 } // namespace asf

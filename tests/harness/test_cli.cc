@@ -57,11 +57,8 @@ TEST(Cli, SpaceAndEqualsFormsAgreeForEveryRunFlag)
 TEST(Cli, SwitchesSetTheirRunFlag)
 {
     RunFlags f;
-    ASSERT_EQ(parseRun({"--no-fast-forward", "--no-direct-exec", "--check"},
-                       f),
-              "");
+    ASSERT_EQ(parseRun({"--no-fast-forward", "--check"}, f), "");
     EXPECT_FALSE(f.fastForward);
-    EXPECT_FALSE(f.directExec);
     EXPECT_TRUE(f.check);
     RunFlags g;
     EXPECT_NE(parseRun({"--check=1"}, g).find("--check"),
@@ -77,10 +74,13 @@ TEST(Cli, ErrorsNameTheFlag)
             << "missing value: " << error;
         EXPECT_NE(error.find("needs a value"), std::string::npos) << error;
     }
-    RunFlags f;
-    std::string error = parseRun({"--jobs", "2", "--bogus"}, f);
-    EXPECT_NE(error.find("unknown option '--bogus'"), std::string::npos)
-        << error;
+    for (const char *flag : {"--bogus", "--no-direct-exec"}) {
+        RunFlags f;
+        std::string error = parseRun({"--jobs", "2", flag}, f);
+        EXPECT_NE(error.find(std::string("unknown option '") + flag + "'"),
+                  std::string::npos)
+            << error;
+    }
 
     for (const char *flag : {"--jobs", "--stats-interval",
                              "--watchdog-cycles"}) {
@@ -142,7 +142,7 @@ TEST(Cli, UsageListsEveryFlagOfTheTable)
     std::string usage = cli.usage();
     EXPECT_EQ(usage.rfind("usage: prog [options]\n", 0), 0u);
     for (const char *flag :
-         {"--jobs N", "--no-fast-forward", "--no-direct-exec", "--check",
+         {"--jobs N", "--no-fast-forward", "--check",
           "--stats-json PATH", "--stats-interval N", "--trace PATH",
           "--fence-profile PATH", "--obs-dir DIR", "--heartbeat PATH",
           "--watchdog-cycles N", "--cache-dir DIR"})

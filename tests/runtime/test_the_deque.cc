@@ -10,61 +10,13 @@ using namespace asf::test;
 using namespace asf::runtime;
 using namespace asf::regs;
 
-namespace
-{
-
-/** Owner: take until empty, summing tasks into [resAddr]. */
-Program
-drainOwner(const TheDeque &q, Addr res)
-{
-    Assembler a("owner");
-    a.li(env0, int64_t(q.base));
-    a.li(s0, 0); // sum
-    a.li(s9, int64_t(dequeEmpty));
-    a.bind("loop");
-    emitTake(a, q, env0, a0, t0, t1, t2, t3);
-    a.beq(a0, s9, "done");
-    a.add(s0, s0, a0);
-    a.jmp("loop");
-    a.bind("done");
-    a.li(t0, int64_t(res));
-    a.st(t0, 0, s0);
-    a.halt();
-    return a.finish();
-}
-
-/** Thief: steal until empty, summing tasks into [resAddr]. */
-Program
-drainThief(const TheDeque &q, Addr res, unsigned attempts)
-{
-    Assembler a("thief");
-    a.li(env0, int64_t(q.base));
-    a.li(s0, 0);
-    a.li(s1, int64_t(attempts));
-    a.li(s9, int64_t(dequeEmpty));
-    a.bind("loop");
-    emitSteal(a, q, env0, a0, t0, t1, t2, t3);
-    a.beq(a0, s9, "next");
-    a.add(s0, s0, a0);
-    a.bind("next");
-    a.addi(s1, s1, -1);
-    a.li(t0, 0);
-    a.blt(t0, s1, "loop");
-    a.li(t0, int64_t(res));
-    a.st(t0, 0, s0);
-    a.halt();
-    return a.finish();
-}
-
-} // namespace
-
 TEST(TheDeque, OwnerDrainsSeededTasksLifo)
 {
     System sys(smallConfig(FenceDesign::SPlus, 1));
     GuestLayout layout;
     TheDeque q = allocTheDeque(layout, 64);
     seedDeque(sys.memory(), q, {10, 20, 30});
-    sys.loadProgram(0, share(drainOwner(q, 0x8000)));
+    sys.loadProgram(0, share(dequeOwnerProgram(q, 0x8000)));
     runToCompletion(sys);
     EXPECT_EQ(sys.debugReadWord(0x8000), 60u);
 }
@@ -75,7 +27,7 @@ TEST(TheDeque, ThiefStealsFromHead)
     GuestLayout layout;
     TheDeque q = allocTheDeque(layout, 64);
     seedDeque(sys.memory(), q, {10, 20, 30});
-    sys.loadProgram(0, share(drainThief(q, 0x8000, 5)));
+    sys.loadProgram(0, share(dequeThiefProgram(q, 0x8000, 5)));
     runToCompletion(sys);
     EXPECT_EQ(sys.debugReadWord(0x8000), 60u);
 }
@@ -117,8 +69,8 @@ TEST_P(DequeRace, EveryTaskTakenExactlyOnce)
         expect += i;
     }
     seedDeque(sys.memory(), q, tasks);
-    sys.loadProgram(0, share(drainOwner(q, 0x8000)));
-    sys.loadProgram(1, share(drainThief(q, 0x8040, 200)));
+    sys.loadProgram(0, share(dequeOwnerProgram(q, 0x8000)));
+    sys.loadProgram(1, share(dequeThiefProgram(q, 0x8040, 200)));
     runToCompletion(sys);
     uint64_t got =
         sys.debugReadWord(0x8000) + sys.debugReadWord(0x8040);

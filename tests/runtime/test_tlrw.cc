@@ -12,33 +12,6 @@ using namespace asf::regs;
 namespace
 {
 
-/** n write-locked increments of data[0]. */
-Program
-writerProgram(const TlrwTable &table, int n)
-{
-    Assembler a("tlrw_writer");
-    a.li(s0, n);
-    a.li(env0, int64_t(table.orecBase));
-    a.li(env1, int64_t(table.dataBase));
-    a.bind("loop");
-    a.li(a4, int64_t(table.orecAddr(0)));
-    emitTlrwWriteAcquire(a, a4, "wabort", t0, t1, t2, t3);
-    a.li(a5, int64_t(table.dataAddr(0)));
-    a.ld(t0, a5, 0);
-    a.addi(t0, t0, 1);
-    a.st(a5, 0, t0);
-    emitTlrwWriteRelease(a, a4, t0);
-    a.addi(s0, s0, -1);
-    a.li(t0, 0);
-    a.blt(t0, s0, "loop");
-    a.halt();
-    // Bounded-acquire abort: nothing is held, just retry.
-    a.bind("wabort");
-    a.compute(30);
-    a.jmp("loop");
-    return a.finish();
-}
-
 /** n read attempts of data[0]; counts aborts in a register -> res. */
 Program
 readerProgram(const TlrwTable &table, int n, Addr res)
@@ -85,7 +58,7 @@ TEST(Tlrw, SingleWriterIncrements)
     System sys(smallConfig(FenceDesign::SPlus, 1));
     GuestLayout layout;
     TlrwTable table = allocTlrwTable(layout, 4, 1);
-    sys.loadProgram(0, share(writerProgram(table, 10)));
+    sys.loadProgram(0, share(tlrwWriterProgram(table, 10)));
     runToCompletion(sys);
     EXPECT_EQ(sys.debugReadWord(table.dataAddr(0)), 10u);
     // Locks fully released.
@@ -101,7 +74,7 @@ TEST_P(TlrwDesigns, WritersNeverLoseUpdates)
     System sys(smallConfig(GetParam(), 4));
     GuestLayout layout;
     TlrwTable table = allocTlrwTable(layout, 4, 4);
-    auto p = share(writerProgram(table, 15));
+    auto p = share(tlrwWriterProgram(table, 15));
     for (int i = 0; i < 4; i++) {
         sys.loadProgram(i, p);
         sys.core(i).setReg(regs::tid, i);
@@ -116,7 +89,7 @@ TEST_P(TlrwDesigns, ReadersAndWritersCoexist)
     System sys(smallConfig(GetParam(), 4));
     GuestLayout layout;
     TlrwTable table = allocTlrwTable(layout, 4, 4);
-    sys.loadProgram(0, share(writerProgram(table, 20)));
+    sys.loadProgram(0, share(tlrwWriterProgram(table, 20)));
     sys.core(0).setReg(regs::tid, 0);
     sys.core(0).setReg(regs::nthreads, 4);
     for (int i = 1; i < 4; i++) {

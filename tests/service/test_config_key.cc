@@ -78,7 +78,6 @@ fieldMutations()
     add("storeDrainLatency",
         [](SystemConfig &c) { c.storeDrainLatency = 4; });
     add("fastForward", [](SystemConfig &c) { c.fastForward = false; });
-    add("directExec", [](SystemConfig &c) { c.directExec = false; });
     add("watchdogCycles",
         [](SystemConfig &c) { c.watchdogCycles = 12345; });
     add("fenceProfile", [](SystemConfig &c) { c.fenceProfile = false; });

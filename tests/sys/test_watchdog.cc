@@ -2,8 +2,8 @@
  * @file
  * Livelock/hang watchdog tests: System::run must abort with a
  * diagnostic snapshot when no core makes forward progress for a full
- * window, at the same tick and with the same output in every run-loop
- * mode, stay silent when progress continues, and stay off by default.
+ * window, at the same tick and with the same output with fast-forward
+ * on or off, stay silent when progress continues, and stay off by default.
  */
 
 #include <gtest/gtest.h>
@@ -47,9 +47,10 @@ struct Firing
 /** Run a lone cold-missing store under a watchdog window far below the
  *  miss latency, capturing the stats document and the stderr dump. */
 Firing
-fireOnColdMiss(Tick window, const RunLoopMode &m)
+fireOnColdMiss(Tick window, bool fast_forward)
 {
-    SystemConfig cfg = withMode(smallConfig(FenceDesign::SPlus, 1), m);
+    SystemConfig cfg = smallConfig(FenceDesign::SPlus, 1);
+    cfg.fastForward = fast_forward;
     cfg.watchdogCycles = window;
     System sys(cfg);
     sys.loadProgram(0, share(storeProgram(0x1000, 1)));
@@ -72,13 +73,13 @@ TEST(Watchdog, FiresDuringQuietMissWindow)
 {
     // A cold-missing store leaves the core with nothing to retire for
     // ~memLatency cycles; a window far below that must declare a hang.
-    for (const RunLoopMode &m : runLoopModes) {
-        Firing f = fireOnColdMiss(20, m);
-        EXPECT_EQ(f.result, System::RunResult::Watchdog) << m.name;
+    for (bool ff : {true, false}) {
+        Firing f = fireOnColdMiss(20, ff);
+        EXPECT_EQ(f.result, System::RunResult::Watchdog) << "ff " << ff;
         // The system stopped well before the miss would have resolved.
-        EXPECT_LT(f.cycles, 100u) << m.name;
-        EXPECT_NE(f.diag.find("watchdog"), std::string::npos) << m.name;
-        EXPECT_NE(f.diag.find("core0"), std::string::npos) << m.name;
+        EXPECT_LT(f.cycles, 100u) << "ff " << ff;
+        EXPECT_NE(f.diag.find("watchdog"), std::string::npos) << "ff " << ff;
+        EXPECT_NE(f.diag.find("core0"), std::string::npos) << "ff " << ff;
     }
 }
 
@@ -89,15 +90,13 @@ TEST(Watchdog, FiringIsIdenticalInEveryRunLoopMode)
     // reference mode's. The store retires in the first window, so the
     // hang is declared at the second check.
     for (Tick window : {Tick(20), Tick(40), Tick(75)}) {
-        Firing ref = fireOnColdMiss(window, runLoopModes[3]);
+        Firing ref = fireOnColdMiss(window, false);
         ASSERT_EQ(ref.result, System::RunResult::Watchdog) << window;
         EXPECT_EQ(ref.cycles, 2 * window);
-        for (const RunLoopMode &m : runLoopModes) {
-            Firing f = fireOnColdMiss(window, m);
-            EXPECT_EQ(f.cycles, ref.cycles) << m.name << " " << window;
-            EXPECT_EQ(f.doc, ref.doc) << m.name << " " << window;
-            EXPECT_EQ(f.diag, ref.diag) << m.name << " " << window;
-        }
+        Firing f = fireOnColdMiss(window, true);
+        EXPECT_EQ(f.cycles, ref.cycles) << window;
+        EXPECT_EQ(f.doc, ref.doc) << window;
+        EXPECT_EQ(f.diag, ref.diag) << window;
     }
 }
 
@@ -143,12 +142,12 @@ TEST(Watchdog, SnapshotShowsStallAndWbHead)
 
 TEST(Watchdog, StatsJsonRecordsFiring)
 {
-    for (const RunLoopMode &m : runLoopModes) {
-        Firing f = fireOnColdMiss(20, m);
-        ASSERT_EQ(f.result, System::RunResult::Watchdog) << m.name;
+    for (bool ff : {true, false}) {
+        Firing f = fireOnColdMiss(20, ff);
+        ASSERT_EQ(f.result, System::RunResult::Watchdog) << "ff " << ff;
         EXPECT_NE(
             f.doc.find("\"watchdog\":{\"cycles\":20,\"fired\":true}"),
             std::string::npos)
-            << m.name;
+            << "ff " << ff;
     }
 }

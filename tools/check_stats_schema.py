@@ -22,12 +22,11 @@ attribution block (required at v4 — tracking defaults on) and a
 with --heartbeat, whose JSONL telemetry is validated too.
 
 With --bench the script instead validates a simcore-microbench host
-performance report (BENCH_simcore.json, schemaVersion 2 or 3):
-per-workload run documents for all three execution modes (cycle-exact,
-fast-forward, direct-exec), the speedup fields, and the cross-mode
-identity claims (equal stats digests, statsIdentical true, and no
-batched cycles reported by the modes that cannot batch). Version-3
-reports additionally carry the observatory overhead measurement.
+performance report (BENCH_simcore.json, schemaVersion 4): per-workload
+run documents for both run-loop modes (noFastForward, the reference,
+and fastForward), the speedup field, the cross-mode identity claims
+(equal stats digests, statsIdentical true, and no jumped cycles in the
+reference mode), and the observatory overhead measurement.
 
 The campaign service (src/service) adds three more document shapes
 and four end-to-end drivers:
@@ -534,16 +533,15 @@ def check_trace(path):
 # (mirrors emitRun in bench/simcore_microbench.cc).
 BENCH_RUN_KEYS = ("hostSeconds", "simCycles", "simCyclesPerSec",
                   "eventsExecuted", "eventsPerSec", "instrRetired",
-                  "fastForwardedCycles", "directExecutedCycles")
-BENCH_MODES = ("noFastForward", "fastForward", "directExec")
+                  "fastForwardedCycles")
+BENCH_MODES = ("noFastForward", "fastForward")
 
 
 def check_bench_report(path):
     with open(path) as f:
         doc = json.load(f)
     version = doc.get("schemaVersion")
-    expect(version in (2, 3),
-           f"bench: schemaVersion {version!r}, expected 2 or 3")
+    expect(version == 4, f"bench: schemaVersion {version!r}, expected 4")
     expect(isinstance(doc.get("design"), str), "bench: missing 'design'")
     expect(isinstance(doc.get("quick"), bool), "bench: missing 'quick'")
     workloads = doc.get("workloads")
@@ -565,36 +563,28 @@ def check_bench_report(path):
                    f"{name}.{mode}: 'statsDigest' is not a 16-char "
                    f"hex string")
             digests.add(digest)
-        # Identity across modes, and only the modes that can skip or
-        # batch may report skipped/batched cycles.
+        # Identity across modes, and only fast-forward may jump.
         expect(len(digests) == 1,
                f"{name}: stats digests differ across modes")
         expect(w.get("statsIdentical") is True,
                f"{name}: 'statsIdentical' is not true")
-        exact = w["noFastForward"]
-        expect(exact["fastForwardedCycles"] == 0,
-               f"{name}: cycle-exact run fast-forwarded cycles")
-        for mode in ("noFastForward", "fastForward"):
-            expect(w[mode]["directExecutedCycles"] == 0,
-                   f"{name}: {mode} run reports batched cycles")
-        for key in ("speedupFastForward", "speedupDirectExec"):
-            check_number(w, key, name)
-            expect(w[key] > 0, f"{name}: '{key}' not positive")
-    if version >= 3:
-        obs = doc.get("observatory")
-        expect(isinstance(obs, dict),
-               "bench: v3 report without 'observatory'")
-        expect(isinstance(obs.get("workload"), str),
-               "observatory: missing 'workload'")
-        for key in ("intervalCycles", "samplesTaken", "hostSecondsOff",
-                    "hostSecondsOn", "overheadPct"):
-            check_number(obs, key, "observatory")
-        expect(obs["intervalCycles"] > 0,
-               "observatory: zero intervalCycles")
-        expect(obs["hostSecondsOff"] > 0 and obs["hostSecondsOn"] > 0,
-               "observatory: non-positive host seconds")
-        expect(obs.get("statsIdentical") is True,
-               "observatory: 'statsIdentical' is not true")
+        expect(w["noFastForward"]["fastForwardedCycles"] == 0,
+               f"{name}: reference run fast-forwarded cycles")
+        check_number(w, "speedupFastForward", name)
+        expect(w["speedupFastForward"] > 0,
+               f"{name}: 'speedupFastForward' not positive")
+    obs = doc.get("observatory")
+    expect(isinstance(obs, dict), "bench: report without 'observatory'")
+    expect(isinstance(obs.get("workload"), str),
+           "observatory: missing 'workload'")
+    for key in ("intervalCycles", "samplesTaken", "hostSecondsOff",
+                "hostSecondsOn", "overheadPct"):
+        check_number(obs, key, "observatory")
+    expect(obs["intervalCycles"] > 0, "observatory: zero intervalCycles")
+    expect(obs["hostSecondsOff"] > 0 and obs["hostSecondsOn"] > 0,
+           "observatory: non-positive host seconds")
+    expect(obs.get("statsIdentical") is True,
+           "observatory: 'statsIdentical' is not true")
     print(f"ok: bench report schema validated "
           f"({len(workloads)} workloads)")
 

@@ -27,14 +27,11 @@ Subcommands:
       result, and compare against the committed GOLDEN summary. This is
       the CTest regression gate for the bench binaries.
 
-  check-perf BENCH [--min-speedup X] [--gate NAME] [--only SUBSTRING]
+  check-perf BENCH [--only SUBSTRING] [--max-obs-overhead PCT]
       Run `BENCH --quick --json-only` (the simcore microbench) and
       gate on its report: every workload's stats digest must be
-      identical across all three execution modes, and the gated
-      workload's direct-execution speedup must clear the threshold
-      (default: busy_spin_8core at 2.0x — deliberately below the
-      committed full-run numbers so host noise cannot flake CI, but
-      high enough that a disabled or regressed burst path fails).
+      identical in both run-loop modes, and the observatory's
+      wall-clock overhead must stay under the bound (default 10%).
       This is the CTest perf smoke gate (tools.perf_smoke).
 
 Used by CTest as tools.stats_diff_fig10 and tools.stats_diff_ablation_*;
@@ -89,10 +86,9 @@ TIMELINE_TOTAL_KEYS = ("busy", "idle", "instrRetired", "fencesIssued",
 def summarize_timeline(tl):
     """The comparable slice of a schemaVersion-4 `timeline` block.
     Per-metric totals over the retained samples compare exactly; the
-    sample *count* is kept separately because execution-mode jumps
-    (fast-forward, direct-exec bursts) legitimately merge several
-    interval boundaries into one sample — compare_docs grants it a
-    built-in tolerance."""
+    sample *count* is kept separately because fast-forward jumps
+    legitimately merge several interval boundaries into one sample —
+    compare_docs grants it a built-in tolerance."""
     samples = tl.get("samples", [])
     totals = {k: sum(s.get(k, 0) for s in samples)
               for k in TIMELINE_TOTAL_KEYS}
@@ -165,9 +161,9 @@ def parse_rtols(pairs):
 
 
 # Built-in tolerances (overridable with --rtol): interval sample counts
-# may differ across execution modes because idle fast-forward and
-# direct-exec bursts merge boundary crossings into one sample, while
-# the timeline *totals* still compare exactly.
+# may differ across run-loop modes because fast-forward jumps merge
+# boundary crossings into one sample, while the timeline *totals* still
+# compare exactly.
 DEFAULT_RTOLS = {"timeline.samples": 0.5}
 
 
@@ -275,41 +271,37 @@ def cmd_check_bench(args):
     report(errors, f"{bench.name} --quick vs {args.golden}")
 
 
-BENCH_MODES = ("noFastForward", "fastForward", "directExec")
+BENCH_MODES = ("noFastForward", "fastForward")
 
 
-def check_perf_report(doc, min_speedup, gate, max_obs_overhead=10.0):
-    """Gate a simcore-microbench report (schemaVersion 2 or 3): mode
-    identity everywhere, direct-exec speedup on the gated workload,
-    and (v3) the observatory wall-clock overhead bound. The overhead
-    gate is looser than the committed target (<= 5%) to keep host
-    noise from flaking CI while still catching a sampler that landed
-    on a hot path."""
+def check_perf_report(doc, max_obs_overhead=10.0):
+    """Gate a simcore-microbench report (schemaVersion 4): mode
+    identity everywhere and the observatory wall-clock overhead bound.
+    The overhead gate is looser than the committed target (<= 5%) to
+    keep host noise from flaking CI while still catching a sampler that
+    landed on a hot path."""
     errors = []
     version = doc.get("schemaVersion")
-    if version not in (2, 3):
-        errors.append(f"report schemaVersion {version!r}, "
-                      f"expected 2 or 3")
+    if version != 4:
+        errors.append(f"report schemaVersion {version!r}, expected 4")
         return errors
-    if version >= 3:
-        obs = doc.get("observatory")
-        if not isinstance(obs, dict):
-            errors.append("v3 report without an 'observatory' block")
-        else:
-            if obs.get("statsIdentical") is not True:
-                errors.append("observatory: stats differ with the "
-                              "observatory on")
-            overhead = obs.get("overheadPct")
-            if not isinstance(overhead, (int, float)):
-                errors.append("observatory: missing overheadPct")
-            elif overhead > max_obs_overhead:
-                errors.append(
-                    f"observatory overhead {overhead:.1f}% above the "
-                    f"{max_obs_overhead:.1f}% gate")
+    obs = doc.get("observatory")
+    if not isinstance(obs, dict):
+        errors.append("report without an 'observatory' block")
+    else:
+        if obs.get("statsIdentical") is not True:
+            errors.append("observatory: stats differ with the "
+                          "observatory on")
+        overhead = obs.get("overheadPct")
+        if not isinstance(overhead, (int, float)):
+            errors.append("observatory: missing overheadPct")
+        elif overhead > max_obs_overhead:
+            errors.append(
+                f"observatory overhead {overhead:.1f}% above the "
+                f"{max_obs_overhead:.1f}% gate")
     workloads = doc.get("workloads", [])
     if not workloads:
         errors.append("report contains no workloads")
-    gated = 0
     for w in workloads:
         name = w.get("name", "?")
         if w.get("statsIdentical") is not True:
@@ -325,15 +317,6 @@ def check_perf_report(doc, min_speedup, gate, max_obs_overhead=10.0):
         if len(set(digests)) > 1:
             errors.append(f"{name}: stats digests differ across "
                           f"modes: {digests}")
-        if gate in name:
-            gated += 1
-            speedup = w.get("speedupDirectExec", 0.0)
-            if speedup < min_speedup:
-                errors.append(
-                    f"{name}: direct-exec speedup {speedup:.2f}x "
-                    f"below the {min_speedup:.2f}x gate")
-    if gated == 0:
-        errors.append(f"no workload matched the gate '{gate}'")
     return errors
 
 
@@ -354,10 +337,9 @@ def cmd_check_perf(args):
             sys.exit(f"FAIL: {bench.name} exited "
                      f"{proc.returncode}:\n{proc.stderr}")
         doc = load(out)
-    errors = check_perf_report(doc, args.min_speedup, args.gate,
-                               args.max_obs_overhead)
-    report(errors, f"{bench.name} perf smoke "
-                   f"(gate {args.gate} >= {args.min_speedup:.2f}x)")
+    errors = check_perf_report(doc, args.max_obs_overhead)
+    report(errors, f"{bench.name} perf smoke (mode identity, observatory "
+                   f"<= {args.max_obs_overhead:.1f}%)")
 
 
 def main():
@@ -386,14 +368,11 @@ def main():
 
     p = sub.add_parser("check-perf",
                        help="run the simcore microbench and gate on "
-                            "mode identity + direct-exec speedup")
+                            "mode identity + observatory overhead")
     p.add_argument("bench")
-    p.add_argument("--min-speedup", type=float, default=2.0)
-    p.add_argument("--gate", default="busy_spin_8core")
     p.add_argument("--only", default="")
     p.add_argument("--max-obs-overhead", type=float, default=10.0,
-                   help="max observatory wall-clock overhead %% "
-                        "(v3 reports)")
+                   help="max observatory wall-clock overhead %%")
     p.set_defaults(func=cmd_check_perf)
 
     args = top.parse_args()
