@@ -22,8 +22,10 @@
  *    same observation-only identity requirement.
  *
  * 2. google-benchmark microbenchmarks of the individual kernels:
- *    event-queue throughput, cache-array lookups, Bypass Set probes,
- *    mesh routing, and end-to-end simulated cycles per host second.
+ *    event-queue throughput (near delays only, and a stress mix that
+ *    reaches the overflow heap), cache-array lookups, Bypass Set
+ *    probes, mesh routing, and end-to-end simulated cycles per host
+ *    second.
  *
  * Usage: simcore_microbench [--out PATH] [--json-only] [--quick]
  *                           [--only SUBSTRING] [google-benchmark flags]
@@ -50,6 +52,7 @@
 #include "prog/assembler.hh"
 #include "sim/interval_stats.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "sys/system.hh"
 
 using namespace asf;
@@ -447,6 +450,49 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+/** A deliberate stress test of the calendar's overflow path, not a
+ *  model of measured traffic (figure runs schedule no event a span or
+ *  more ahead): each event files its successor, 90% of them 1-96
+ *  cycles ahead and 10% 200-2000 ahead, nearly all of which pass
+ *  through the overflow heap. One iteration is one tick; items are
+ *  events run. */
+static void
+BM_EventQueueMeshMix(benchmark::State &state)
+{
+    struct Mix
+    {
+        EventQueue eq;
+        std::vector<Tick> delays;
+        size_t k = 0;
+        uint64_t fired = 0;
+
+        Tick nextDelay() { return delays[k++ % delays.size()]; }
+    };
+    struct Hop
+    {
+        Mix *m;
+        void
+        operator()() const
+        {
+            m->fired++;
+            m->eq.scheduleIn(m->nextDelay(), Hop{m});
+        }
+    };
+    Mix m;
+    Rng rng(state.range(0));
+    m.delays.resize(4096);
+    for (Tick &d : m.delays)
+        d = rng.range(10) == 0 ? rng.between(200, 2000)
+                               : rng.between(1, 96);
+    for (int i = 0; i < 128; i++)
+        m.eq.scheduleIn(m.nextDelay(), Hop{&m});
+    for (auto _ : state)
+        m.eq.runUntil(m.eq.now() + 1);
+    benchmark::DoNotOptimize(m.fired);
+    state.SetItemsProcessed(int64_t(m.fired));
+}
+BENCHMARK(BM_EventQueueMeshMix)->Arg(1);
 
 static void
 BM_CacheArrayLookup(benchmark::State &state)

@@ -27,6 +27,10 @@ SystemConfig::validate() const
         fatal("zero-sized core resource");
     if (wPlusTimeout == 0)
         fatal("wPlusTimeout must be nonzero");
+    // Events run before the cores at each tick, so a message a core
+    // sends must land in a later cycle.
+    if (hopLatency == 0)
+        fatal("hopLatency must be nonzero");
     if (checkExecution && memoryModel != MemoryModel::TSO)
         fatal("checkExecution verifies TSO executions; RC is not "
               "supported");

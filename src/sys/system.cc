@@ -1,6 +1,7 @@
 #include "sys/system.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <iostream>
 
@@ -89,7 +90,7 @@ System::System(SystemConfig cfg) : cfg_(cfg)
             dispatch(id, msg);
         });
     }
-    clocks_.resize(cfg_.numCores);
+    synced_.resize(cfg_.numCores);
 }
 
 Core &
@@ -229,10 +230,9 @@ System::allDone() const
 void
 System::catchUp(size_t i, Tick t)
 {
-    CoreClock &k = clocks_[i];
-    if (k.synced < t) {
-        cores_[i]->skipCycles(uint64_t(t - k.synced));
-        k.synced = t;
+    if (synced_[i] < t) {
+        cores_[i]->skipCycles(uint64_t(t - synced_[i]));
+        synced_[i] = t;
     }
 }
 
@@ -249,8 +249,7 @@ System::wakeCore(NodeId node)
     // Replay before the message lands, even when the core is due this
     // tick anyway: the slept cycles charge the pre-message state.
     catchUp(size_t(node), eq_.now() - 1);
-    CoreClock &k = clocks_[node];
-    k.wake = std::min(k.wake, eq_.now());
+    eq_.setDue(unsigned(node), eq_.now());
 }
 
 void
@@ -260,10 +259,15 @@ System::tickCore(size_t i, Tick t)
     Core &c = *cores_[i];
     c.tick();
     tickedCoreCycles_++;
-    CoreClock &k = clocks_[i];
-    k.synced = t;
+    synced_[i] = t;
     Tick w = maxTick;
-    k.wake = cfg_.fastForward && c.quiescent(w) && w > t + 1 ? w : t + 1;
+    Tick due = t + 1;
+    // A sleep past the calendar's wheel is cut at its edge: the core
+    // ticks there (as it would in the reference mode), finds itself
+    // still quiescent and sleeps on.
+    if (cfg_.fastForward && c.quiescent(w) && w > t + 1)
+        due = w == maxTick ? w : std::min(w, t + EventQueue::span - 1);
+    eq_.setDue(unsigned(i), due);
 }
 
 System::RunResult
@@ -272,8 +276,8 @@ System::run(Tick max_cycles)
     const Tick end = eq_.now() + max_cycles;
     // Every core starts due: between run() calls the caller may have
     // changed a sleeper's program, registers or memory.
-    for (CoreClock &k : clocks_)
-        k.wake = eq_.now() + 1;
+    for (unsigned i = 0; i < cores_.size(); i++)
+        eq_.setDue(i, eq_.now() + 1);
     // Livelock watchdog: declare a hang when a full window of
     // watchdogCycles passes without any core making forward progress.
     // Every jump stops at the next check tick, so checks land on the
@@ -319,32 +323,27 @@ System::run(Tick max_cycles)
                 eq_.now() + std::max<Tick>(cfg_.progressInterval, 1);
         }
 
-        // Run-loop arbitration (DESIGN.md "Run-loop arbitration"). A
-        // core sleeps while its cycles can only charge a stall bucket
-        // (tickCore); only the due cores tick. With no core due and no
-        // event due, the clock jumps to the first tick where anything
-        // can happen. Both are host-side only: simulated timing and
-        // statistics are bit-identical to ticking through.
+        // Run-loop arbitration (DESIGN.md "Run-loop arbitration"). Core
+        // wakes share the event calendar as due marks: a core sleeps
+        // while its cycles can only charge a stall bucket (tickCore),
+        // and only the cores due at a tick tick. With nothing due at
+        // the next tick, the clock jumps to the first tick where
+        // anything can happen. Both are host-side only: simulated
+        // timing and statistics are bit-identical to ticking through.
         Tick next = eq_.now() + 1;
         if (cfg_.fastForward) {
-            Tick target = std::min({eq_.nextEventTick(), end, wd_check_at});
-            for (const CoreClock &k : clocks_)
-                target = std::min(target, k.wake);
+            Tick target = std::min({eq_.nextTick(), end, wd_check_at});
             if (target > next) {
                 fastForwardedCycles_ += target - next;
                 next = target;
             }
         }
 
-        // Cheap precursor: only walk the event heap when an event is
-        // actually due this cycle. Events may wake sleepers.
-        if (eq_.nextEventTick() <= next)
-            eq_.runUntil(next);
-        else
-            eq_.setNow(next);
-        for (size_t i = 0; i < cores_.size(); i++)
-            if (clocks_[i].wake <= next)
-                tickCore(i, next);
+        // Events first (they may wake sleepers), then the due cores in
+        // index order.
+        eq_.runUntil(next);
+        for (uint64_t due = eq_.takeDue(); due; due &= due - 1)
+            tickCore(size_t(std::countr_zero(due)), next);
         if (Trace::get().enabled() && eq_.now() >= traceNextCpiAt_) {
             syncCores();
             sampleCpiCounters();

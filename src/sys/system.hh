@@ -2,9 +2,9 @@
  * @file
  * The full simulated machine: cores, private L1s, shared banked L2,
  * distributed directory, GRT modules (for WeeFence), and the mesh, all
- * driven by one deterministic event queue with a synchronous per-cycle
- * tick of the cores that are due. This is the library's primary public
- * entry point.
+ * driven by one deterministic event calendar that also holds the cores'
+ * wakes: each visited cycle runs its events, then ticks the cores due
+ * at it. This is the library's primary public entry point.
  */
 
 #ifndef ASF_SYS_SYSTEM_HH
@@ -294,13 +294,9 @@ class System
     std::vector<CycleBreakdown> traceCpiPrev_;
     uint64_t fastForwardedCycles_ = 0;
     uint64_t tickedCoreCycles_ = 0;
-    /** Per-core run-loop clock (host-side; see System::run). */
-    struct CoreClock
-    {
-        Tick wake = 1;   ///< next tick the core is due to tick
-        Tick synced = 0; ///< last tick its statistics account for
-    };
-    std::vector<CoreClock> clocks_;
+    /** Last tick each core's statistics account for (host-side; the
+     *  tick a core is next due lives in eq_ as its due mark). */
+    std::vector<Tick> synced_;
 };
 
 } // namespace asf

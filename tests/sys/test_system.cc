@@ -18,6 +18,9 @@ TEST(SystemConfigT, ValidationCatchesNonsense)
     cfg = SystemConfig{};
     cfg.wPlusTimeout = 0;
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "Timeout");
+    cfg = SystemConfig{};
+    cfg.hopLatency = 0;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "hopLatency");
 }
 
 TEST(SystemConfigT, SummaryMentionsKeyParameters)

@@ -338,8 +338,11 @@ def cmd_check_perf(args):
                      f"{proc.returncode}:\n{proc.stderr}")
         doc = load(out)
     errors = check_perf_report(doc, args.max_obs_overhead)
+    measured = doc.get("observatory", {}).get("overheadPct")
+    measured = (f"{measured:.1f}% " if isinstance(measured, (int, float))
+                else "")
     report(errors, f"{bench.name} perf smoke (mode identity, observatory "
-                   f"<= {args.max_obs_overhead:.1f}%)")
+                   f"{measured}<= {args.max_obs_overhead:.1f}%)")
 
 
 def main():
