@@ -73,9 +73,10 @@ Core::resetStats()
 bool
 Core::done() const
 {
-    for (const auto &t : storeTxns_)
-        if (t.active)
-            return false;
+    // storeTxns_ needs no check: an active store transaction always has
+    // an issued, not-yet-done write-buffer entry (complete() pops only
+    // done entries, and dropYoungerThan() panics on an issued one), so
+    // an empty buffer rules one out.
     return (!prog_ || thread_.halted()) && wb_.empty() &&
            load_.phase == LoadPhase::Inactive &&
            rmw_.phase == RmwPhase::Inactive && fences_.empty() &&

@@ -84,6 +84,11 @@ WriteBuffer::dropYoungerThan(uint64_t upto)
 {
     unsigned dropped = 0;
     while (!entries_.empty() && entries_.back().seq > upto) {
+        // Post-fence stores never issue while the fence is pending, and
+        // Core::done() counts on no in-flight store leaving this way.
+        if (entries_.back().issued)
+            panic("W+ recovery dropped in-flight store %llu",
+                  (unsigned long long)entries_.back().seq);
         entries_.pop_back();
         dropped++;
     }

@@ -118,7 +118,7 @@ class WriteBuffer
     bool drainedUpTo(uint64_t upto) const;
 
     /** Drop all entries with seq > upto (W+ recovery); returns how many
-     *  buffered stores were squashed. */
+     *  buffered stores were squashed. Panics if one of them is issued. */
     unsigned dropYoungerThan(uint64_t upto);
 
     /** Distinct line addresses of entries with seq <= upto (Wee PS). */

@@ -2,13 +2,19 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define ASF_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace asf::service
 {
 
 namespace
 {
 
-constexpr uint32_t kRound[64] = {
+alignas(16) constexpr uint32_t kRound[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b,
     0x59f111f1, 0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01,
     0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7,
@@ -30,19 +36,8 @@ rotr(uint32_t v, unsigned n)
     return (v >> n) | (v << (32 - n));
 }
 
-} // namespace
-
-Sha256::Sha256()
-{
-    static constexpr uint32_t init[8] = {
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
-    };
-    std::memcpy(state_, init, sizeof(state_));
-}
-
 void
-Sha256::compress(const uint8_t *block)
+compress(uint32_t *state, const uint8_t *block)
 {
     uint32_t w[64];
     for (unsigned i = 0; i < 16; i++)
@@ -58,8 +53,8 @@ Sha256::compress(const uint8_t *block)
         w[i] = w[i - 16] + s0 + w[i - 7] + s1;
     }
 
-    uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
     for (unsigned i = 0; i < 64; i++) {
         uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
         uint32_t ch = (e & f) ^ (~e & g);
@@ -76,14 +71,126 @@ Sha256::compress(const uint8_t *block)
         b = a;
         a = t1 + t2;
     }
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+}
+
+#ifdef ASF_SHA256_X86
+
+/**
+ * The SHA-extension kernel. The state lives in two registers in the
+ * order sha256rnds2 wants, {a,b,e,f} and {c,d,g,h}, for the whole
+ * call. Each round group adds four message words to four round
+ * constants and runs two rnds2 (two rounds each); the message
+ * schedule keeps the next sixteen words in four registers, replacing
+ * the oldest four per group with sha256msg1/msg2. Loads are unaligned:
+ * `blocks` is whatever buffer the caller handed to update().
+ */
+__attribute__((target("sha,ssse3,sse4.1"))) void
+compressShaExt(uint32_t *state, const uint8_t *blocks, size_t n)
+{
+    const __m128i byteswap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+    __m128i dcba = _mm_loadu_si128(reinterpret_cast<__m128i *>(state));
+    __m128i hgfe = _mm_loadu_si128(reinterpret_cast<__m128i *>(state + 4));
+    __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+    __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+    for (; n; n--, blocks += 64) {
+        const __m128i abef0 = abef, cdgh0 = cdgh;
+        __m128i w[4];
+        for (unsigned i = 0; i < 4; i++)
+            w[i] = _mm_shuffle_epi8(
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(blocks + 16 * i)),
+                byteswap);
+#pragma GCC unroll 16
+        for (unsigned g = 0; g < 16; g++) {
+            __m128i wk = _mm_add_epi32(
+                w[g % 4], _mm_load_si128(reinterpret_cast<const __m128i *>(
+                              kRound + 4 * g)));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh,
+                                         _mm_shuffle_epi32(wk, 0x0e));
+            if (g < 12) {
+                // W[4g+16..4g+19] from W[4g..4g+15], into the slot of
+                // the four words just consumed.
+                __m128i t = _mm_sha256msg1_epu32(w[g % 4], w[(g + 1) % 4]);
+                t = _mm_add_epi32(
+                    t, _mm_alignr_epi8(w[(g + 3) % 4], w[(g + 2) % 4], 4));
+                w[g % 4] = _mm_sha256msg2_epu32(t, w[(g + 3) % 4]);
+            }
+        }
+        abef = _mm_add_epi32(abef, abef0);
+        cdgh = _mm_add_epi32(cdgh, cdgh0);
+    }
+
+    __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+    __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state),
+                     _mm_blend_epi16(feba, dchg, 0xf0));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state + 4),
+                     _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool
+cpuHasShaExtensions()
+{
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (!__get_cpuid(1, &a, &b, &c, &d))
+        return false;
+    bool ssse3 = c & bit_SSSE3, sse41 = c & bit_SSE4_1;
+    // Leaf 7, subleaf 0, EBX bit 29; false where leaf 7 is missing.
+    if (!__get_cpuid_count(7, 0, &a, &b, &c, &d))
+        return false;
+    return ssse3 && sse41 && (b & bit_SHA);
+}
+
+#endif // ASF_SHA256_X86
+
+} // namespace
+
+void
+Sha256::portableKernel(uint32_t *state, const uint8_t *blocks, size_t n)
+{
+    for (; n; n--, blocks += 64)
+        compress(state, blocks);
+}
+
+Sha256::Kernel
+Sha256::acceleratedKernel()
+{
+#ifdef ASF_SHA256_X86
+    // Thread-safe once-only initialisation: campaign workers may race
+    // to the first hash.
+    static const Kernel kernel =
+        cpuHasShaExtensions() ? compressShaExt : nullptr;
+    return kernel;
+#else
+    return nullptr;
+#endif
+}
+
+Sha256::Sha256()
+    : Sha256(acceleratedKernel() ? acceleratedKernel() : portableKernel)
+{
+}
+
+Sha256::Sha256(Kernel kernel) : kernel_(kernel)
+{
+    static constexpr uint32_t init[8] = {
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+    };
+    std::memcpy(state_, init, sizeof(state_));
 }
 
 void
@@ -97,15 +204,18 @@ Sha256::update(const void *data, size_t len)
         bufLen_ += take;
         p += take;
         len -= take;
-        if (bufLen_ == sizeof(buf_)) {
-            compress(buf_);
-            bufLen_ = 0;
-        }
+        if (bufLen_ < sizeof(buf_))
+            return;
+        kernel_(state_, buf_, 1);
+        bufLen_ = 0;
     }
-    while (len >= sizeof(buf_)) {
-        compress(p);
-        p += sizeof(buf_);
-        len -= sizeof(buf_);
+    // Every whole block in one call, so the accelerated kernel keeps
+    // the state in registers across a large read.
+    size_t whole = len / sizeof(buf_);
+    if (whole) {
+        kernel_(state_, p, whole);
+        p += whole * sizeof(buf_);
+        len -= whole * sizeof(buf_);
     }
     if (len) {
         std::memcpy(buf_, p, len);
@@ -116,18 +226,20 @@ Sha256::update(const void *data, size_t len)
 std::string
 Sha256::finishHex()
 {
+    // FIPS 180-4 §5.1.1: 0x80, zeros to 56 mod 64, then the message
+    // length in bits, big-endian; a second block when the tail leaves
+    // no room for the length.
     uint64_t bits = totalBytes_ * 8;
-    uint8_t pad = 0x80;
-    update(&pad, 1);
-    uint8_t zero = 0;
-    while (bufLen_ != 56)
-        update(&zero, 1);
-    uint8_t len_be[8];
+    buf_[bufLen_++] = 0x80;
+    if (bufLen_ > 56) {
+        std::memset(buf_ + bufLen_, 0, sizeof(buf_) - bufLen_);
+        kernel_(state_, buf_, 1);
+        bufLen_ = 0;
+    }
+    std::memset(buf_ + bufLen_, 0, 56 - bufLen_);
     for (unsigned i = 0; i < 8; i++)
-        len_be[i] = uint8_t(bits >> (56 - 8 * i));
-    // Bypass the length accounting for the length field itself.
-    std::memcpy(buf_ + 56, len_be, 8);
-    compress(buf_);
+        buf_[56 + i] = uint8_t(bits >> (56 - 8 * i));
+    kernel_(state_, buf_, 1);
     bufLen_ = 0;
 
     static const char hex[] = "0123456789abcdef";

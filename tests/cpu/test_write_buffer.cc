@@ -95,6 +95,12 @@ TEST(WriteBuffer, DropYoungerThanBoundaries)
     EXPECT_EQ(wb.dropYoungerThan(0), 2u);
     EXPECT_TRUE(wb.empty());
     EXPECT_TRUE(wb.drainedUpTo(s1));
+
+    // An issued store is never squashed: its write transaction is in
+    // flight (Core::done() relies on this).
+    wb.push(0x4000, 4);
+    wb.nextIssuable(true)->issued = true;
+    EXPECT_DEATH(wb.dropYoungerThan(0), "in-flight store");
 }
 
 TEST(WriteBuffer, PendingLinesBoundaries)

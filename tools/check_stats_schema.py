@@ -53,6 +53,12 @@ and four end-to-end drivers:
                           a full sweep after a --quick one into the
                           same --cache-dir must match a fresh full sweep
 
+A manifest's digest must be the SHA-256 of its canonical key text, and
+in the drivers that fill a cache its fingerprint must be the SHA-256 of
+the binary that wrote it. Both are recomputed here with hashlib, an
+independent check of src/service/sha256.cc; the binary's 20-30 MB go
+through the kernel's multi-block path.
+
 Usage: check_stats_schema.py <path-to-asf_sim>
        check_stats_schema.py --bench <path-to-BENCH_simcore.json>
        check_stats_schema.py --heartbeat <path-to-heartbeat.jsonl>
@@ -64,6 +70,7 @@ Usage: check_stats_schema.py <path-to-asf_sim>
        check_stats_schema.py --quick-namespace <path-to-bench>
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -618,6 +625,8 @@ def check_manifest(doc, docs_dir=None):
            "manifest: missing 'canonical' config serialization")
     expect(canonical.startswith("asf-config-key "),
            "manifest: canonical form lacks its key-schema stamp")
+    expect(hashlib.sha256(canonical.encode()).hexdigest() == doc["digest"],
+           "manifest: 'digest' is not the SHA-256 of 'canonical'")
     r = doc.get("result")
     expect(isinstance(r, dict), "manifest: missing 'result'")
     for key in ("workload", "design", "validationError", "checkVerdict"):
@@ -637,7 +646,6 @@ def check_manifest(doc, docs_dir=None):
            f"manifest breakdown: 'stall' is not a "
            f"{len(STALL_SCALARS)}-bucket array")
     if docs_dir is not None:
-        import hashlib
         doc_path = Path(docs_dir) / f"{doc['digest']}.doc.json"
         expect(doc_path.exists(), f"manifest: no stats doc {doc_path}")
         data = doc_path.read_bytes()
@@ -687,11 +695,13 @@ def check_campaign_status(doc):
                f"{doc[state]}")
 
 
-def check_cache_dir(cache_dir):
-    """Validate every manifest in a --cache-dir tree and return how
-    many objects it holds."""
+def check_cache_dir(cache_dir, binary):
+    """Validate every manifest in a --cache-dir tree filled by `binary`,
+    whose SHA-256 each manifest must carry as its fingerprint, and
+    return how many objects the tree holds."""
     objects = Path(cache_dir) / "objects"
     expect(objects.is_dir(), f"cache: no objects/ under {cache_dir}")
+    fingerprint = hashlib.sha256(Path(binary).read_bytes()).hexdigest()
     manifests = sorted(objects.glob("*.manifest.json"))
     for m in manifests:
         with open(m) as f:
@@ -699,6 +709,9 @@ def check_cache_dir(cache_dir):
         check_manifest(doc, docs_dir=objects)
         expect(m.name == f"{doc['digest']}.manifest.json",
                f"cache: {m.name} stored under the wrong digest")
+        expect(doc["fingerprint"] == fingerprint,
+               f"cache: {m.name} fingerprint is not the SHA-256 of "
+               f"{binary}")
     return len(manifests)
 
 
@@ -723,7 +736,7 @@ def check_cache_roundtrip(asf_sim):
                 f"--cache-dir={tmp / 'cache'}"]
         run_ok(base + [f"--stats-json={tmp / 'cold.json'}"],
                "cold asf_sim run")
-        cold_objects = check_cache_dir(tmp / "cache")
+        cold_objects = check_cache_dir(tmp / "cache", asf_sim)
         expect(cold_objects == 1,
                f"cache: cold run stored {cold_objects} objects, "
                f"expected 1")
@@ -733,7 +746,7 @@ def check_cache_roundtrip(asf_sim):
         warm = (tmp / "warm.json").read_bytes()
         expect(cold == warm,
                "cache: warm stats log differs from the cold one")
-        expect(check_cache_dir(tmp / "cache") == cold_objects,
+        expect(check_cache_dir(tmp / "cache", asf_sim) == cold_objects,
                "cache: warm run grew the store (it re-simulated)")
     print("ok: cold/warm --cache-dir runs byte-identical, "
           "manifests validated")
@@ -767,7 +780,7 @@ def check_bench_cache(bench):
                f"{len(runs)} stats documents, {sum(cold_hits)} cold hits")
         for run in runs:
             check_run(run)
-        expect(check_cache_dir(tmp / "cache" / "quick") == len(runs),
+        expect(check_cache_dir(tmp / "cache" / "quick", bench) == len(runs),
                f"{bench.name}: no cache object per run under "
                f"<cache-dir>/quick")
         warm_table, warm_log, warm_hits = sweep("warm")
@@ -876,8 +889,8 @@ def check_campaign_service(asf_campaign, asf_sim):
         expect((tmp / "serial.json").read_bytes() ==
                (tmp / "sharded.json").read_bytes(),
                "campaign: sharded merged log differs from serial")
-        check_cache_dir(camp / "cache")
-        check_cache_dir(camp2 / "cache")
+        check_cache_dir(camp / "cache", asf_campaign)
+        check_cache_dir(camp2 / "cache", asf_campaign)
 
         # One job, run by a campaign worker and by asf_sim: the same
         # run defaults (the livelock watchdog among them) apply to
