@@ -16,10 +16,12 @@ Core::Core(NodeId id, const SystemConfig &cfg, L1Cache &l1, Mesh &mesh,
            EventQueue &eq)
     : id_(id), cfg_(cfg), l1_(l1), mesh_(mesh), eq_(eq),
       wb_(cfg.wbEntries), bs_(cfg.bsEntries),
-      stats_(format("core%d", id)), hot_(stats_, cfg)
+      stats_(format("core%d", id)), occCycles_(cfg.wbEntries + 1, 0),
+      hot_(stats_, cfg)
 {
     tsoOrder_ = cfg_.memoryModel == MemoryModel::TSO;
     storeTxns_.resize(tsoOrder_ ? 1 : cfg_.storeUnits);
+    fences_.reserve(4);
     l1_.bsMatch = [this](Addr line, WordMask words) {
         return bsProbe(line, words);
     };
@@ -27,17 +29,8 @@ Core::Core(NodeId id, const SystemConfig &cfg, L1Cache &l1, Mesh &mesh,
     l1_.onBsBounce = [this](Addr line) { onBsBounce(line); };
     l1_.onReply = [this](const Message &msg) { onL1Reply(msg); };
 
-    // Pre-register the headline counters so the JSON report has a
-    // stable shape even for runs that never touch them (zero-valued
-    // scalars are still filtered from the text dump).
-    for (const char *name :
-         {"busyCycles", "idleCycles", "otherStallCycles",
-          "fenceStallCycles", "instrRetired", "fencesStrong",
-          "fencesWeak", "fencesWee", "bouncedWrites", "wPlusRecoveries",
-          "loadSquashes", "storesDrained", "wbSquashedStores"})
-        stats_.scalar(name);
-    stats_.average("fenceLatency");
-    stats_.histogram("wbOccupancy", cfg.wbEntries + 1, 1.0);
+    // The last headline counter; HotStats pre-registers the others.
+    stats_.scalar("wbSquashedStores");
     ASF_TRACE(threadName(uint32_t(id_), format("core%d", id_)));
 }
 
@@ -61,6 +54,14 @@ Core::syncObservabilityStats()
     stats_.scalar("wbPushes").set(wb_.totalPushes());
     stats_.scalar("wbSquashedStores").set(wb_.totalDropped());
     stats_.scalar("wbHighWater").set(wb_.highWater());
+    // Flush the occupancy run lengths. Every partial sum of the
+    // histogram is an integer below 2^53, so adding the samples by value
+    // in ascending order gives exactly the state that sampling each
+    // cycle in turn would have.
+    for (size_t v = 0; v < occCycles_.size(); v++) {
+        hot_.wbOccupancy.sampleN(double(v), occCycles_[v]);
+        occCycles_[v] = 0;
+    }
 }
 
 void
@@ -68,6 +69,7 @@ Core::resetStats()
 {
     stats_.resetAll();
     wb_.resetCounters();
+    std::fill(occCycles_.begin(), occCycles_.end(), 0);
 }
 
 bool
@@ -97,7 +99,7 @@ Core::tick()
         hot_.idleCycles.inc();
         return;
     }
-    hot_.wbOccupancy.sample(double(wb_.size()));
+    occCycles_[wb_.size()]++;
 
     tickFences();
     issueStores();
@@ -193,11 +195,10 @@ Core::fencesQuiescent(Tick &wake) const
 bool
 Core::storesQuiescent(Tick &wake) const
 {
-    // Mirror of issueStores. storeRetry_ entries the real tick would
-    // default-construct read as {nextTryAt = 0} here; creating them is
-    // the one tick side effect this mirror tolerates skipping, because
-    // a default entry is behaviorally inert (no backoff, never nacked)
-    // and the first real tick recreates it.
+    // Mirror of issueStores, which also marks each candidate examined.
+    // Skipping that mark is the one tick side effect this mirror
+    // tolerates: only the watchdog snapshot reads it, and the first
+    // real tick sets it.
     uint64_t max_seq =
         fences_.empty() ? ~uint64_t(0) : fences_.front().lastPreStoreSeq;
     uint64_t after = 0;
@@ -207,11 +208,8 @@ Core::storesQuiescent(Tick &wake) const
         if (!e)
             return true;
         after = e->seq;
-        Tick next_try = 0;
-        if (auto it = storeRetry_.find(e->seq); it != storeRetry_.end())
-            next_try = it->second.nextTryAt;
-        if (eq_.now() < next_try) {
-            wake = std::min(wake, next_try);
+        if (eq_.now() < e->nextTryAt) {
+            wake = std::min(wake, e->nextTryAt);
             if (tsoOrder_)
                 return true;
             continue;
@@ -388,7 +386,7 @@ Core::skipCycles(uint64_t n)
         hot_.idleCycles.inc(n);
         return;
     }
-    hot_.wbOccupancy.sampleN(double(wb_.size()), n);
+    occCycles_[wb_.size()] += n;
     if (!recovering_) {
         if (computeRemaining_ > 0) {
             if (n > computeRemaining_)
@@ -425,7 +423,7 @@ Core::tickFences()
     while (!fences_.empty() &&
            wb_.drainedUpTo(fences_.front().lastPreStoreSeq)) {
         completeFence(fences_.front());
-        fences_.pop_front();
+        fences_.erase(fences_.begin());
     }
     if (recovering_ && !activeWeakFence())
         recovering_ = false;
@@ -436,8 +434,8 @@ Core::tickFences()
 void
 Core::completeFence(FenceInstance &f)
 {
-    stats_.scalar("fencesCompleted").inc();
-    stats_.average("fenceLatency").sample(double(eq_.now() - f.executedAt));
+    hot_.fencesCompleted.inc();
+    hot_.fenceLatency.sample(double(eq_.now() - f.executedAt));
     ASF_TRACE(complete(f.executedAt, eq_.now() - f.executedAt,
                        uint32_t(id_), "fence", fenceKindName(f.kind),
                        format("{\"id\":%llu,\"demoted\":%s}",
@@ -456,7 +454,7 @@ Core::completeFence(FenceInstance &f)
     if (f.isWeak() || f.demoted) {
         // Drop exactly this fence's BS entries (epoch-tagged); entries
         // of younger, still-active weak fences stay armed.
-        stats_.average("bsLinesPerWf").sample(double(bs_.lineCount()));
+        hot_.bsLinesPerWf.sample(double(bs_.lineCount()));
         bs_.clearUpTo(f.id);
     }
     if (f.kind == FenceKind::WeeWeak && f.grtHome != invalidNode) {
@@ -519,7 +517,7 @@ Core::recoverWPlus(FenceInstance &f)
         panic("core %d: RMW past drain during W+ recovery", id_);
     rmw_ = RmwOp{};
 
-    stats_.scalar("wPlusRecoveries").inc();
+    hot_.wPlusRecoveries.inc();
     thread_ = f.checkpoint;
     unsigned squashed = wb_.dropYoungerThan(f.lastPreStoreSeq);
     if (profiler_)
@@ -529,9 +527,6 @@ Core::recoverWPlus(FenceInstance &f)
     ASF_TRACE(instant(eq_.now(), uint32_t(id_), "fence", "W+ recovery",
                       format("{\"fence\":%llu,\"squashedStores\":%u}",
                              (unsigned long long)f.id, squashed)));
-    std::erase_if(storeRetry_, [&f](const auto &kv) {
-        return kv.first > f.lastPreStoreSeq;
-    });
     bs_.clear();
     load_ = LoadOp{}; // a pending GetS reply, if any, will be ignored
     computeRemaining_ = 0;
@@ -558,7 +553,7 @@ Core::demoteWee(FenceInstance &f)
 {
     // Watchdog escape for false-sharing-induced bounce cycles: the fence
     // falls back to strong behavior and stops protecting new accesses.
-    stats_.scalar("weeWatchdogDemotions").inc();
+    hot_.weeWatchdogDemotions.inc();
     f.demoted = true;
     f.timing = false;
     bs_.clear();
@@ -610,8 +605,8 @@ Core::issueStores()
         if (!e)
             return;
         after = e->seq;
-        StoreRetryState &rs = storeRetry_[e->seq];
-        if (eq_.now() < rs.nextTryAt) {
+        e->examined = true;
+        if (eq_.now() < e->nextTryAt) {
             if (tsoOrder_)
                 return;
             continue; // RC: a backing-off entry does not block younger ones
@@ -647,7 +642,7 @@ Core::issueStores()
         MsgType type = MsgType::GetX;
         TrafficClass tc = TrafficClass::Base;
         uint64_t order_fence_id = 0;
-        if (rs.everNacked) {
+        if (e->nacked) {
             tc = TrafficClass::Retry;
             // "If the core then executes a wf, the hardware sets the O
             // bit of all currently-bouncing requests": any active weak
@@ -681,21 +676,16 @@ Core::issueStores()
                          type != MsgType::GetX ? order_fence_id : 0,
                          recorder_ ? e->seq : 0);
         if (type != MsgType::GetX)
-            stats_.scalar("orderRequests").inc();
+            hot_.orderRequests.inc();
     }
 }
 
 void
 Core::finishStore(WriteBuffer::Entry &entry)
 {
-    auto it = storeRetry_.find(entry.seq);
-    if (it != storeRetry_.end()) {
-        if (it->second.everNacked) {
-            stats_.scalar("bouncedWrites").inc();
-            stats_.average("retriesPerBouncedWrite")
-                .sample(double(it->second.retries));
-        }
-        storeRetry_.erase(it);
+    if (entry.nacked) {
+        hot_.bouncedWrites.inc();
+        hot_.retriesPerBouncedWrite.sample(double(entry.retries));
     }
     ASF_TRACE(instant(eq_.now(), uint32_t(id_), "wb", "drain",
                       format("{\"addr\":%llu,\"seq\":%llu}",
@@ -768,7 +758,7 @@ Core::loadAccess()
         l1_.sendGetS(load_.line);
         getSOutstanding_ = true;
         load_.phase = LoadPhase::MissPending;
-        stats_.scalar("loadMissesIssued").inc();
+        hot_.loadMissesIssued.inc();
     }
     // Else a stale GetS for some line is still in flight; wait for it.
 }
@@ -856,7 +846,7 @@ Core::evaluateLoadGate()
             // Transition-counted (like bsFullHolds): one conflict per
             // refused insert, not one per held cycle.
             if (load_.hold != HoldReason::BsFull) {
-                stats_.scalar("bsFullHolds").inc();
+                hot_.bsFullHolds.inc();
                 if (hotspot_)
                     hotspot_->record(load_.addr, HotEvent::BsConflict);
             }
@@ -973,7 +963,7 @@ Core::performRmwLocal()
     rmw_ = RmwOp{};
     retiredThisCycle_++;
     hot_.instrRetired.inc();
-    stats_.scalar("rmwsExecuted").inc();
+    hot_.rmwsExecuted.inc();
 }
 
 // ---------------------------------------------------------------------
@@ -1103,14 +1093,14 @@ Core::startLoad(const Instr &ins)
         if (strong_between) {
             load_.phase = LoadPhase::WaitForward;
             load_.waitStoreSeq = e->seq;
-            stats_.scalar("forwardsBlockedByFence").inc();
+            hot_.forwardsBlockedByFence.inc();
             return;
         }
         load_.value = e->value;
         load_.forwarded = true; // own-store value: immune to squash
         load_.fwdSeq = e->seq;
         load_.phase = LoadPhase::Performed;
-        stats_.scalar("loadsForwarded").inc();
+        hot_.loadsForwarded.inc();
         evaluateLoadGate();
         return;
     }
@@ -1130,23 +1120,23 @@ Core::startFence(const Instr &ins)
     if (cfg_.memoryModel == MemoryModel::RC &&
         kind != FenceKind::Strong) {
         kind = FenceKind::Strong;
-        stats_.scalar("rcFenceDemotions").inc();
+        hot_.rcFenceDemotions.inc();
     }
 
     // Nothing pending before the fence: it completes immediately.
     if (wb_.empty()) {
         switch (kind) {
           case FenceKind::Strong:
-            stats_.scalar("fencesStrong").inc();
+            hot_.fencesStrong.inc();
             break;
           case FenceKind::Weak:
-            stats_.scalar("fencesWeak").inc();
+            hot_.fencesWeak.inc();
             break;
           case FenceKind::WeeWeak:
-            stats_.scalar("fencesWee").inc();
+            hot_.fencesWee.inc();
             break;
         }
-        stats_.scalar("fencesInstant").inc();
+        hot_.fencesInstant.inc();
         if (profiler_)
             profiler_->onInstant(id_, kind, eq_.now());
         if (recorder_)
@@ -1181,17 +1171,17 @@ Core::startFence(const Instr &ins)
 
     switch (kind) {
       case FenceKind::Strong:
-        stats_.scalar("fencesStrong").inc();
+        hot_.fencesStrong.inc();
         break;
       case FenceKind::Weak:
-        stats_.scalar("fencesWeak").inc();
+        hot_.fencesWeak.inc();
         if (cfg_.design == FenceDesign::WPlus) {
             f.checkpoint = thread_;
             f.hasCheckpoint = true;
         }
         break;
       case FenceKind::WeeWeak: {
-        stats_.scalar("fencesWee").inc();
+        hot_.fencesWee.inc();
         std::vector<Addr> ps = wb_.pendingLines(f.lastPreStoreSeq);
         if (cfg_.weePrivateFiltering && isPrivate_) {
             // Private Access Filtering: a store to a thread-private
@@ -1216,7 +1206,7 @@ Core::startFence(const Instr &ins)
             // PS spans directory modules: fall back to a conventional
             // fence (paper Section 2.3).
             f.demoted = true;
-            stats_.scalar("weeMultiModuleDemotions").inc();
+            hot_.weeMultiModuleDemotions.inc();
             if (profiler_)
                 profiler_->onDemote(f.profileId);
         } else {
@@ -1282,7 +1272,7 @@ void
 Core::onBsBounce(Addr line)
 {
     (void)line;
-    stats_.scalar("bsBounces").inc();
+    hot_.bsBounces.inc();
     if (FenceInstance *wf = activeWeakFence()) {
         wf->bouncedSomeone = true;
         if (profiler_ && wf->profileId)
@@ -1301,7 +1291,7 @@ Core::onLineInvalidated(Addr line)
         load_.phase = LoadPhase::AccessPending;
         load_.inBs = false;
         load_.squashed = true;
-        stats_.scalar("loadSquashes").inc();
+        hot_.loadSquashes.inc();
         ASF_TRACE(instant(eq_.now(), uint32_t(id_), "cpu", "load squash",
                           format("{\"line\":%llu}",
                                  (unsigned long long)line)));
@@ -1362,17 +1352,11 @@ Core::onL1Reply(const Message &msg)
             WriteBuffer::Entry *e = wb_.issuedEntryForLine(msg.addr);
             if (!e)
                 panic("core %d: store nack with no issued entry", id_);
-            e->issued = false;
-            StoreRetryState &rs = storeRetry_[e->seq];
-            rs.retries++;
-            rs.everNacked = true;
-            if (msg.type == MsgType::NackCO)
-                rs.coMode = true;
-            rs.nextTryAt = eq_.now() + backoff(rs.retries);
+            e->nextTryAt = eq_.now() + backoff(wb_.nack(*e));
             if (txn->pinned)
                 l1_.unpin(txn->line);
             txn->active = false;
-            stats_.scalar("storeNacks").inc();
+            hot_.storeNacks.inc();
             if (profiler_) {
                 // Attribute the bounce round to the oldest fence the
                 // nacked store is pending under.
@@ -1391,7 +1375,7 @@ Core::onL1Reply(const Message &msg)
             rmw_.phase = RmwPhase::Access;
             rmw_.retries++;
             rmw_.nextTryAt = eq_.now() + backoff(rmw_.retries);
-            stats_.scalar("rmwNacks").inc();
+            hot_.rmwNacks.inc();
         } else {
             panic("core %d: unmatched nack %s", id_,
                   msg.toString().c_str());
@@ -1502,10 +1486,9 @@ Core::debugDump(std::ostream &os) const
         os << "; head seq=" << e.seq << " addr=0x" << std::hex << e.addr
            << std::dec << (e.issued ? " issued" : "")
            << (e.done ? " done" : "");
-        if (auto it = storeRetry_.find(e.seq); it != storeRetry_.end())
-            os << " retries=" << it->second.retries
-               << (it->second.everNacked ? " nacked" : "")
-               << " nextTryAt=" << it->second.nextTryAt;
+        if (e.examined)
+            os << " retries=" << e.retries << (e.nacked ? " nacked" : "")
+               << " nextTryAt=" << e.nextTryAt;
     }
     os << "\n";
     for (const auto &f : fences_)

@@ -30,7 +30,6 @@
 #ifndef ASF_CPU_CORE_HH
 #define ASF_CPU_CORE_HH
 
-#include <deque>
 #include <map>
 #include <optional>
 
@@ -281,15 +280,6 @@ class Core
         bool pinned = false;
     };
 
-    /** Per-store bounce/retry bookkeeping, keyed by store seq. */
-    struct StoreRetryState
-    {
-        unsigned retries = 0;
-        bool everNacked = false;
-        bool coMode = false;
-        Tick nextTryAt = 0;
-    };
-
     void issueStores();
     void finishStore(WriteBuffer::Entry &entry);
     StoreTxn *txnForLine(Addr line);
@@ -353,10 +343,11 @@ class Core
 
     WriteBuffer wb_;
     BypassSet bs_;
-    std::deque<FenceInstance> fences_;
+    /** Incomplete fences, oldest first. Only a handful are ever live,
+     *  so completion erases the front of a vector reserved up front. */
+    std::vector<FenceInstance> fences_;
     LoadOp load_;
     std::vector<StoreTxn> storeTxns_;
-    std::map<uint64_t, StoreRetryState> storeRetry_;
     Tick storeDrainFreeAt_ = 0;
     bool tsoOrder_ = true;
     RmwOp rmw_;
@@ -396,13 +387,20 @@ class Core
      *  epoch >= f.id - the ones the rollback squashes. */
     std::vector<std::pair<uint64_t, int64_t>> journaledMarks_;
     StatGroup stats_;
+    /** Write-buffer occupancy run lengths: cycles spent at each
+     *  occupancy since the last flush into the wbOccupancy histogram
+     *  (syncObservabilityStats). */
+    std::vector<uint64_t> occCycles_;
 
     /**
-     * Hot-path handles into stats_, bound once at construction (map
-     * entries are reference-stable across inserts and resetAll). The
-     * pre-registered headline counters bind eagerly; the rest bind
-     * lazily so the report shape stays identical to the string-lookup
-     * call sites they replace.
+     * Handles into stats_, bound once at construction (map entries are
+     * reference-stable across inserts and resetAll), so no cycle or
+     * message path looks a stat up by name. The headline counters are
+     * pre-registered, so the JSON report has a stable shape even for
+     * runs that never touch them (zero-valued scalars are still
+     * filtered from the text dump); they bind eagerly. The rest bind
+     * lazily on their first update, so a stat a run never touches
+     * stays out of its report.
      */
     struct HotStats
     {
@@ -413,11 +411,34 @@ class Core
               fenceStallCycles(g.scalar("fenceStallCycles")),
               instrRetired(g.scalar("instrRetired")),
               storesDrained(g.scalar("storesDrained")),
+              fencesStrong(g.scalar("fencesStrong")),
+              fencesWeak(g.scalar("fencesWeak")),
+              fencesWee(g.scalar("fencesWee")),
+              bouncedWrites(g.scalar("bouncedWrites")),
+              wPlusRecoveries(g.scalar("wPlusRecoveries")),
+              loadSquashes(g.scalar("loadSquashes")),
+              fenceLatency(g.average("fenceLatency")),
               wbOccupancy(
                   g.histogram("wbOccupancy", cfg.wbEntries + 1, 1.0)),
               loadsDelivered(g, "loadsDelivered"),
               loadsExecuted(g, "loadsExecuted"),
-              storesExecuted(g, "storesExecuted")
+              storesExecuted(g, "storesExecuted"),
+              loadsForwarded(g, "loadsForwarded"),
+              loadMissesIssued(g, "loadMissesIssued"),
+              forwardsBlockedByFence(g, "forwardsBlockedByFence"),
+              bsFullHolds(g, "bsFullHolds"),
+              rmwsExecuted(g, "rmwsExecuted"),
+              rmwNacks(g, "rmwNacks"),
+              storeNacks(g, "storeNacks"),
+              orderRequests(g, "orderRequests"),
+              bsBounces(g, "bsBounces"),
+              fencesInstant(g, "fencesInstant"),
+              fencesCompleted(g, "fencesCompleted"),
+              rcFenceDemotions(g, "rcFenceDemotions"),
+              weeMultiModuleDemotions(g, "weeMultiModuleDemotions"),
+              weeWatchdogDemotions(g, "weeWatchdogDemotions"),
+              bsLinesPerWf(g, "bsLinesPerWf"),
+              retriesPerBouncedWrite(g, "retriesPerBouncedWrite")
         {
             // The CPI-stack buckets bind eagerly: pre-registering all
             // of them keeps the JSON report shape identical across
@@ -433,25 +454,44 @@ class Core
         StatScalar &fenceStallCycles;
         StatScalar &instrRetired;
         StatScalar &storesDrained;
+        StatScalar &fencesStrong;
+        StatScalar &fencesWeak;
+        StatScalar &fencesWee;
+        StatScalar &bouncedWrites;
+        StatScalar &wPlusRecoveries;
+        StatScalar &loadSquashes;
+        StatAverage &fenceLatency;
         StatHistogram &wbOccupancy;
         LazyStatScalar loadsDelivered;
         LazyStatScalar loadsExecuted;
         LazyStatScalar storesExecuted;
+        LazyStatScalar loadsForwarded;
+        LazyStatScalar loadMissesIssued;
+        LazyStatScalar forwardsBlockedByFence;
+        LazyStatScalar bsFullHolds;
+        LazyStatScalar rmwsExecuted;
+        LazyStatScalar rmwNacks;
+        LazyStatScalar storeNacks;
+        LazyStatScalar orderRequests;
+        LazyStatScalar bsBounces;
+        LazyStatScalar fencesInstant;
+        LazyStatScalar fencesCompleted;
+        LazyStatScalar rcFenceDemotions;
+        LazyStatScalar weeMultiModuleDemotions;
+        LazyStatScalar weeWatchdogDemotions;
+        LazyStatAverage bsLinesPerWf;
+        LazyStatAverage retriesPerBouncedWrite;
         StatScalar *stall[numStallBuckets];
     };
     HotStats hot_;
 };
 
 // Inline: stallBucket classifies every non-retiring cycle of both the
-// tick and sleep-replay paths, and anyStoreBounced is its hottest input
-// (the retry map is empty whenever no store has missed).
+// tick and sleep-replay paths, and anyStoreBounced is its hottest input.
 inline bool
 Core::anyStoreBounced() const
 {
-    for (const auto &[seq, rs] : storeRetry_)
-        if (rs.everNacked)
-            return true;
-    return false;
+    return wb_.nackedCount() != 0;
 }
 
 inline StallBucket

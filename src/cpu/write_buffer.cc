@@ -70,6 +70,7 @@ WriteBuffer::popFront()
 {
     if (entries_.empty())
         panic("popFront() on empty write buffer");
+    unmarkNacked(entries_.front());
     entries_.pop_front();
 }
 
@@ -89,6 +90,7 @@ WriteBuffer::dropYoungerThan(uint64_t upto)
         if (entries_.back().issued)
             panic("W+ recovery dropped in-flight store %llu",
                   (unsigned long long)entries_.back().seq);
+        unmarkNacked(entries_.back());
         entries_.pop_back();
         dropped++;
     }

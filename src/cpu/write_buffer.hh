@@ -37,6 +37,18 @@ class WriteBuffer
          *  under RC; completed entries leave the buffer once everything
          *  older has also completed. */
         bool done = false;
+
+        // --- bounce/retry state (written by the core's store unit) ----
+        /** A directory bounced this store at least once; counted in
+         *  nackedCount() until the store completes or is dropped. */
+        bool nacked = false;
+        /** The store unit examined this entry as an issue candidate
+         *  (the watchdog snapshot prints the retry fields from then on). */
+        bool examined = false;
+        /** Bounces so far; drives the retry backoff. */
+        unsigned retries = 0;
+        /** No retry before this tick. */
+        Tick nextTryAt = 0;
     };
 
     explicit WriteBuffer(unsigned capacity);
@@ -53,7 +65,7 @@ class WriteBuffer
         if (full())
             panic("write buffer overflow");
         uint64_t seq = nextSeq_++;
-        entries_.push_back(Entry{addr, value, seq, false, false});
+        entries_.push_back(Entry{addr, value, seq});
         totalPushes_++;
         if (entries_.size() > highWater_)
             highWater_ = unsigned(entries_.size());
@@ -88,15 +100,32 @@ class WriteBuffer
     /** Locate the (unique) in-flight entry for a line. */
     Entry *issuedEntryForLine(Addr line_addr);
 
-    /** Mark an entry merged and drop the completed prefix.
-     *  Inline: a hot operation of every core tick. */
+    /** Mark an entry merged and drop the completed prefix. A completed
+     *  entry no longer counts as nacked, even while it waits (RC) for
+     *  older entries. Inline: a hot operation of every core tick. */
     void complete(Entry &entry)
     {
         entry.done = true;
         entry.issued = false;
+        unmarkNacked(entry);
         while (!entries_.empty() && entries_.front().done)
             entries_.pop_front();
     }
+
+    /** A directory bounced the in-flight entry: it is no longer issued
+     *  and counts one more retry. Returns its retry count. */
+    unsigned nack(Entry &entry)
+    {
+        entry.issued = false;
+        if (!entry.nacked) {
+            entry.nacked = true;
+            nacked_++;
+        }
+        return ++entry.retries;
+    }
+
+    /** Live (not completed, not dropped) entries bounced at least once. */
+    unsigned nackedCount() const { return nacked_; }
 
     /** Sequence number of the most recently enqueued store (0 if none). */
     uint64_t lastSeq() const { return nextSeq_ - 1; }
@@ -138,8 +167,17 @@ class WriteBuffer
     void resetCounters();
 
   private:
+    void unmarkNacked(Entry &entry)
+    {
+        if (entry.nacked) {
+            entry.nacked = false;
+            nacked_--;
+        }
+    }
+
     unsigned capacity_;
     std::deque<Entry> entries_;
+    unsigned nacked_ = 0;
     uint64_t nextSeq_ = 1;
     uint64_t totalPushes_ = 0;
     uint64_t totalDropped_ = 0;

@@ -90,43 +90,20 @@ enum class TrafficClass : uint8_t
 
 struct Message
 {
-    MsgType type = MsgType::GetS;
-    NodeId src = invalidNode;
-    NodeId dst = invalidNode;
+    // Fields are grouped by size (8-byte, then 4-byte, then 1-byte), so
+    // the struct packs into 120 bytes and the mesh's delivery closure
+    // (this + Message) fits an event cell (see Mesh::send).
+
     /** Line-aligned address this message concerns. */
     Addr addr = 0;
-    /** Original requester (carried through probes so acks can be matched). */
-    NodeId requester = invalidNode;
 
     // --- payloads ----------------------------------------------------
-    bool hasData = false;
     LineData data{};
-
-    /** Order bit (WS+/SW+). */
-    bool orderBit = false;
-    /** Word mask of the requested words (CO requests and probes). */
-    WordMask wordMask = 0;
     /** Word-level update carried by Order/CO writes. */
-    unsigned updateWord = 0;
     uint64_t updateValue = 0;
-
-    /** InvAck: how the probe hit the target's BS. */
-    BsMatch bsMatch = BsMatch::None;
-    /** InvAck/PutM/PutE: directory should keep src in the sharer list. */
-    bool keepSharer = false;
-    /** InvAck: the probe was rejected by the Bypass Set (line kept). */
-    bool bounced = false;
-    /** InvAck/DwngrAck: the target still held the line when probed. */
-    bool hadLine = false;
-    /** GetX: the requester holds a Shared copy (upgrade, no data needed). */
-    bool reqHasLine = false;
 
     /** GRT payloads: line addresses of a Pending Set. */
     std::vector<Addr> addrSet;
-    /** GrtCheckReply: the checked address is still blocked. */
-    bool blocked = false;
-
-    TrafficClass trafficClass = TrafficClass::Base;
 
     /**
      * Fence-lifecycle profiler id of the fence this message acts for
@@ -145,6 +122,33 @@ struct Message
      * simulated traffic or timing.
      */
     uint64_t storeSeq = 0;
+
+    NodeId src = invalidNode;
+    NodeId dst = invalidNode;
+    /** Original requester (carried through probes so acks can be matched). */
+    NodeId requester = invalidNode;
+    /** Word index of the update carried by Order/CO writes. */
+    unsigned updateWord = 0;
+
+    MsgType type = MsgType::GetS;
+    TrafficClass trafficClass = TrafficClass::Base;
+    bool hasData = false;
+    /** Order bit (WS+/SW+). */
+    bool orderBit = false;
+    /** Word mask of the requested words (CO requests and probes). */
+    WordMask wordMask = 0;
+    /** InvAck: how the probe hit the target's BS. */
+    BsMatch bsMatch = BsMatch::None;
+    /** InvAck/PutM/PutE: directory should keep src in the sharer list. */
+    bool keepSharer = false;
+    /** InvAck: the probe was rejected by the Bypass Set (line kept). */
+    bool bounced = false;
+    /** InvAck/DwngrAck: the target still held the line when probed. */
+    bool hadLine = false;
+    /** GetX: the requester holds a Shared copy (upgrade, no data needed). */
+    bool reqHasLine = false;
+    /** GrtCheckReply: the checked address is still blocked. */
+    bool blocked = false;
 
     /** On-wire size for traffic accounting. */
     unsigned sizeBytes() const;

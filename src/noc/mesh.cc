@@ -154,12 +154,16 @@ Mesh::send(Message msg)
     }
     latency_.sample(double(deliver - eq_.now()));
 
-    NodeId dst = msg.dst;
-    eq_.schedule(deliver, [this, dst, m = std::move(msg)]() {
-        if (!sinks_[dst])
-            panic("no sink registered for node %d", dst);
-        sinks_[dst](m);
-    });
+    auto delivery = [this, m = std::move(msg)]() {
+        if (!sinks_[m.dst])
+            panic("no sink registered for node %d", m.dst);
+        sinks_[m.dst](m);
+    };
+    // A closure past the event cell's inline buffer would cost a heap
+    // allocation and a free on every message.
+    static_assert(EventCallback::fitsInline<decltype(delivery)>,
+                  "the NoC delivery closure must fit an event cell");
+    eq_.schedule(deliver, std::move(delivery));
 }
 
 } // namespace asf

@@ -140,13 +140,11 @@ Instr::toString() const
     return "<bad-instr>";
 }
 
-const Instr &
-Program::at(uint64_t pc) const
+void
+Program::pcPanic(uint64_t pc) const
 {
-    if (pc >= instrs.size())
-        panic("program '%s': pc %llu out of range (%zu instrs)",
-              name.c_str(), (unsigned long long)pc, instrs.size());
-    return instrs[pc];
+    panic("program '%s': pc %llu out of range (%zu instrs)", name.c_str(),
+          (unsigned long long)pc, instrs.size());
 }
 
 } // namespace asf

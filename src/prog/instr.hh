@@ -132,7 +132,19 @@ struct Program
     std::vector<OmittedFence> omittedFences;
 
     size_t size() const { return instrs.size(); }
-    const Instr &at(uint64_t pc) const;
+
+    /** Instruction at pc; panics when pc is out of range. Inline: the
+     *  core fetches through it on every executed instruction. */
+    const Instr &
+    at(uint64_t pc) const
+    {
+        if (pc >= instrs.size()) [[unlikely]]
+            pcPanic(pc);
+        return instrs[pc];
+    }
+
+  private:
+    [[noreturn]] void pcPanic(uint64_t pc) const;
 };
 
 } // namespace asf

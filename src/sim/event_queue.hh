@@ -19,11 +19,13 @@
  * FIFO order holds across the move.
  *
  * Callbacks live in a chunked slab of cells that never move. A capture
- * that fits the inline buffer (sized for the largest hot-path lambda,
- * the NoC delivery closure carrying a Message by value) is built in its
- * cell, runs there and is destroyed there, so steady-state scheduling
- * performs no heap allocation, and the wheel and the heap hold 4-byte
- * cell indices instead of callbacks.
+ * that fits the inline buffer is built in its cell, runs there and is
+ * destroyed there; a larger one costs a heap allocation and a free. The
+ * buffer is sized for the largest hot-path lambda, the NoC delivery
+ * closure carrying a Message by value, and Mesh::send static_asserts
+ * that the closure fits, so steady-state scheduling performs no heap
+ * allocation. The wheel and the heap hold 4-byte cell indices instead
+ * of callbacks.
  *
  * Beside the events the calendar keeps due marks for up to 64 numbered
  * agents (System: one per core), each due at no more than one tick
@@ -59,8 +61,14 @@ namespace asf
 class EventCallback
 {
   public:
-    /// Sized to hold the mesh delivery lambda (this + dst + Message).
+    /// Sized to hold the mesh delivery lambda (this + Message); Mesh::send
+    /// static_asserts that it fits.
     static constexpr size_t inlineSize = 128;
+
+    /** Callables of type F are built inside the wrapper (no allocation). */
+    template <typename F>
+    static constexpr bool fitsInline =
+        sizeof(F) <= inlineSize && alignof(F) <= alignof(std::max_align_t);
 
     EventCallback() = default;
     EventCallback(const EventCallback &) = delete;
@@ -73,8 +81,7 @@ class EventCallback
     emplace(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= inlineSize &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
+        if constexpr (fitsInline<Fn>) {
             ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
             invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
             destroy_ = [](void *p) { static_cast<Fn *>(p)->~Fn(); };

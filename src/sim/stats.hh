@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace asf
@@ -70,6 +71,7 @@ class StatHistogram
     void reset();
 
     uint64_t count() const { return count_; }
+    double sum() const { return sum_; }
 
     /** Mean of the samples; 0.0 if nothing was ever sampled. */
     double mean() const;
@@ -98,29 +100,35 @@ class StatHistogram
 class StatGroup;
 
 /**
- * Hot-path handle to a named scalar that binds lazily: the underlying
- * stat is created in the group on the first increment, exactly like the
- * string-lookup call sites it replaces (so the report keeps the same
- * shape — untouched counters stay unregistered), while steady-state
- * increments cost one null check instead of a string map lookup.
+ * Hot-path handle to a named scalar or average that binds lazily: the
+ * underlying stat is created in the group on the first update, as a
+ * StatGroup::scalar() or average() call there would create it (so the
+ * report has the same shape: untouched stats stay unregistered), while
+ * steady-state updates cost one null check instead of a string map
+ * lookup.
  */
-class LazyStatScalar
+template <typename Stat>
+class LazyStat
 {
   public:
-    LazyStatScalar(StatGroup &group, const char *name)
+    LazyStat(StatGroup &group, const char *name)
         : group_(group), name_(name)
     {
     }
 
-    StatScalar &get();
+    Stat &get();
 
     void inc(uint64_t n = 1) { get().inc(n); }
+    void sample(double v) { get().sample(v); }
 
   private:
     StatGroup &group_;
     const char *name_;
-    StatScalar *stat_ = nullptr;
+    Stat *stat_ = nullptr;
 };
+
+using LazyStatScalar = LazyStat<StatScalar>;
+using LazyStatAverage = LazyStat<StatAverage>;
 
 /**
  * A group of named statistics. Components own a StatGroup and register
@@ -178,11 +186,16 @@ class StatGroup
     std::map<std::string, StatHistogram> histograms_;
 };
 
-inline StatScalar &
-LazyStatScalar::get()
+template <typename Stat>
+inline Stat &
+LazyStat<Stat>::get()
 {
-    if (!stat_)
-        stat_ = &group_.scalar(name_);
+    if (!stat_) {
+        if constexpr (std::is_same_v<Stat, StatAverage>)
+            stat_ = &group_.average(name_);
+        else
+            stat_ = &group_.scalar(name_);
+    }
     return *stat_;
 }
 

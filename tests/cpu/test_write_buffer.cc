@@ -159,3 +159,97 @@ TEST(WriteBuffer, EmptyAccessorsDie)
     EXPECT_DEATH(wb.front(), "empty");
     EXPECT_DEATH(wb.popFront(), "empty");
 }
+
+namespace
+{
+
+/** Issue `e` and let a directory bounce it; returns its retry count. */
+unsigned
+issueAndNack(WriteBuffer &wb, WriteBuffer::Entry &e)
+{
+    e.issued = true;
+    return wb.nack(e);
+}
+
+} // namespace
+
+TEST(WriteBuffer, NackedCountRisesOncePerEntry)
+{
+    WriteBuffer wb(8);
+    wb.push(0x1000, 1);
+    wb.push(0x2000, 2);
+    WriteBuffer::Entry &head = *wb.nextIssuable(true);
+    EXPECT_EQ(wb.nackedCount(), 0u);
+    EXPECT_EQ(issueAndNack(wb, head), 1u);
+    EXPECT_FALSE(head.issued);
+    EXPECT_TRUE(head.nacked);
+    EXPECT_EQ(wb.nackedCount(), 1u);
+    // Bouncing the same store again counts a retry, not another store.
+    EXPECT_EQ(issueAndNack(wb, head), 2u);
+    EXPECT_EQ(issueAndNack(wb, head), 3u);
+    EXPECT_EQ(wb.nackedCount(), 1u);
+
+    head.issued = true;
+    wb.complete(head);
+    EXPECT_EQ(wb.nackedCount(), 0u);
+    EXPECT_EQ(wb.size(), 1u);
+    EXPECT_FALSE(wb.front().nacked);
+
+    // popFront of a nacked head keeps the count exact too.
+    EXPECT_EQ(issueAndNack(wb, *wb.nextIssuable(true)), 1u);
+    EXPECT_EQ(wb.nackedCount(), 1u);
+    wb.popFront();
+    EXPECT_EQ(wb.nackedCount(), 0u);
+}
+
+TEST(WriteBuffer, CompleteOutOfOrderClearsNackedCount)
+{
+    // RC: a younger store on another line completes while an older one
+    // is still outstanding; it stays in the buffer, no longer nacked.
+    WriteBuffer wb(8);
+    uint64_t s1 = wb.push(0x1000, 1);
+    uint64_t s2 = wb.push(0x2000, 2);
+    WriteBuffer::Entry &older = *wb.nextIssuable(false);
+    ASSERT_EQ(older.seq, s1);
+    issueAndNack(wb, older);
+    WriteBuffer::Entry &younger = *wb.nextIssuable(false, ~uint64_t(0), s1);
+    ASSERT_EQ(younger.seq, s2);
+    issueAndNack(wb, younger);
+    EXPECT_EQ(wb.nackedCount(), 2u);
+
+    younger.issued = true;
+    wb.complete(younger);
+    EXPECT_EQ(wb.nackedCount(), 1u);
+    EXPECT_EQ(wb.size(), 2u); // waits behind the older store
+    EXPECT_FALSE(younger.nacked);
+    EXPECT_EQ(younger.retries, 1u);
+
+    older.issued = true;
+    wb.complete(older);
+    EXPECT_EQ(wb.nackedCount(), 0u);
+    EXPECT_TRUE(wb.empty());
+}
+
+TEST(WriteBuffer, DropYoungerThanRemovesSquashedNackedCounts)
+{
+    WriteBuffer wb(8);
+    uint64_t s1 = wb.push(0x1000, 1);
+    wb.push(0x2000, 2);
+    wb.push(0x3000, 3);
+    wb.push(0x4000, 4);
+    // Bounce the head and two younger stores (RC-style issue order).
+    uint64_t after = 0;
+    for (int i = 0; i < 3; i++) {
+        WriteBuffer::Entry &e = *wb.nextIssuable(false, ~uint64_t(0), after);
+        after = e.seq;
+        issueAndNack(wb, e);
+    }
+    EXPECT_EQ(wb.nackedCount(), 3u);
+    // W+ recovery to the fence after s1: the two squashed bounced
+    // stores leave the count, the surviving head stays in it.
+    EXPECT_EQ(wb.dropYoungerThan(s1), 3u);
+    EXPECT_EQ(wb.nackedCount(), 1u);
+    EXPECT_TRUE(wb.front().nacked);
+    EXPECT_EQ(wb.dropYoungerThan(0), 1u);
+    EXPECT_EQ(wb.nackedCount(), 0u);
+}

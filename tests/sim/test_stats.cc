@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "sim/stats.hh"
 
 using namespace asf;
@@ -139,4 +143,56 @@ TEST(StatGroup, ResetAllClearsEverything)
     g.resetAll();
     EXPECT_EQ(g.get("x"), 0u);
     EXPECT_DOUBLE_EQ(g.getMean("y"), 0.0);
+}
+
+TEST(StatHistogram, SampleNByValueReproducesShuffledSamples)
+{
+    // Occupancy-style samples: small integers, some past the last
+    // bucket. Charging the run length of each value through sampleN, in
+    // ascending order, must give exactly the state of sampling the
+    // values one by one in any order.
+    const std::vector<uint64_t> runs = {0,   517, 3, 1200, 0, 41,
+                                        999, 2,   7, 0,    64, 5};
+    std::vector<double> values;
+    for (size_t v = 0; v < runs.size(); v++)
+        values.insert(values.end(), runs[v], double(v));
+    std::shuffle(values.begin(), values.end(), std::mt19937_64(42));
+
+    StatHistogram one_by_one(9, 1.0), by_value(9, 1.0);
+    for (double v : values)
+        one_by_one.sample(v);
+    for (size_t v = 0; v < runs.size(); v++)
+        by_value.sampleN(double(v), runs[v]);
+
+    EXPECT_EQ(by_value.count(), one_by_one.count());
+    EXPECT_EQ(by_value.sum(), one_by_one.sum());
+    EXPECT_EQ(by_value.mean(), one_by_one.mean());
+    EXPECT_EQ(by_value.max(), one_by_one.max());
+    EXPECT_EQ(by_value.overflow(), one_by_one.overflow());
+    EXPECT_GT(by_value.overflow(), 0u);
+    for (unsigned i = 0; i < by_value.numBuckets(); i++)
+        EXPECT_EQ(by_value.bucket(i), one_by_one.bucket(i)) << i;
+    for (double p : {0.50, 0.90, 0.99})
+        EXPECT_EQ(by_value.percentile(p), one_by_one.percentile(p)) << p;
+}
+
+TEST(LazyStat, RegistersOnFirstUpdate)
+{
+    StatGroup g("test");
+    LazyStatScalar s(g, "s");
+    LazyStatAverage a(g, "a");
+    EXPECT_TRUE(g.scalars().empty());
+    EXPECT_TRUE(g.averages().empty());
+    s.inc(3);
+    a.sample(2.0);
+    a.sample(4.0);
+    EXPECT_EQ(g.get("s"), 3u);
+    EXPECT_EQ(g.average("a").count(), 2u);
+    EXPECT_DOUBLE_EQ(g.getMean("a"), 3.0);
+    // The handles survive a reset and keep charging the same stats.
+    g.resetAll();
+    s.inc();
+    a.sample(1.0);
+    EXPECT_EQ(g.get("s"), 1u);
+    EXPECT_EQ(g.average("a").count(), 1u);
 }

@@ -135,3 +135,55 @@ TEST(SystemT, GuestCountersSumAcrossCores)
     EXPECT_EQ(sys.guestCounter(42), 3u);
     EXPECT_EQ(sys.guestCounter(43), 0u);
 }
+
+namespace
+{
+
+std::string
+statsJson(System &sys)
+{
+    std::ostringstream os;
+    sys.dumpStatsJson(os);
+    return os.str();
+}
+
+/** Two cores sharing a line: a store and a load, mid-flight after 60
+ *  cycles, so the write buffers have sat at several occupancies. */
+void
+loadSharedPair(System &sys)
+{
+    sys.loadProgram(0, share(storeProgram(0x1000, 1)));
+    sys.loadProgram(1, share(loadProgram(0x1000, 0x2000)));
+}
+
+} // namespace
+
+TEST(SystemT, StatsJsonDumpIsIdempotent)
+{
+    // A dump flushes the cores' occupancy run lengths into their
+    // wbOccupancy histograms; dumping again adds nothing.
+    System sys(smallConfig(FenceDesign::SPlus, 2));
+    loadSharedPair(sys);
+    ASSERT_EQ(sys.run(60), System::RunResult::MaxCycles);
+    const std::string first = statsJson(sys);
+    EXPECT_NE(first.find("\"wbOccupancy\""), std::string::npos);
+    EXPECT_EQ(statsJson(sys), first);
+}
+
+TEST(SystemT, StatsJsonMidRunDumpDoesNotPerturbLaterDump)
+{
+    // Flushing mid-run is additive: the final document is the one an
+    // undisturbed run of the same length produces.
+    System split(smallConfig(FenceDesign::SPlus, 2));
+    loadSharedPair(split);
+    split.run(60);
+    statsJson(split);
+    runToCompletion(split);
+
+    System whole(smallConfig(FenceDesign::SPlus, 2));
+    loadSharedPair(whole);
+    whole.run(60);
+    runToCompletion(whole);
+
+    EXPECT_EQ(statsJson(split), statsJson(whole));
+}

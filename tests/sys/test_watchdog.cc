@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "../helpers.hh"
 
@@ -30,6 +32,19 @@ class CerrCapture
     std::ostringstream buf_;
     std::streambuf *old_;
 };
+
+/** The write-buffer line of core `core` in a watchdog snapshot. */
+std::string
+wbLine(const std::string &snap, unsigned core)
+{
+    size_t at = snap.find("core" + std::to_string(core) + ":");
+    if (at == std::string::npos)
+        return "";
+    at = snap.find("  wb: ", at);
+    if (at == std::string::npos)
+        return "";
+    return snap.substr(at, snap.find('\n', at) - at);
+}
 
 } // namespace
 
@@ -138,6 +153,66 @@ TEST(Watchdog, SnapshotShowsStallAndWbHead)
     EXPECT_NE(snap.find("addr=0x1000"), std::string::npos);
     // The store's directory transaction is still in flight.
     EXPECT_NE(snap.find("dir"), std::string::npos);
+    // The store unit has examined the head, so its (still empty) retry
+    // fields are shown.
+    EXPECT_EQ(wbLine(snap, 0), "  wb: 1/" + std::to_string(cfg.wbEntries) +
+                                   " entries; head seq=1 addr=0x1000 "
+                                   "issued retries=0 nextTryAt=0");
+}
+
+TEST(Watchdog, SnapshotShowsBouncedWbHead)
+{
+    // WS+: core 0's weak fence waits on a missing store while its
+    // post-fence load of y sits in the Bypass Set; core 1's store to y
+    // bounces off it and backs off. The snapshot names the bounce.
+    SystemConfig cfg = smallConfig(FenceDesign::WSPlus, 2);
+    cfg.fastForward = false;
+    System sys(cfg);
+    const Addr x = 0x1000, y = 0x2000;
+    Assembler a("fenced");
+    a.li(1, int64_t(x));
+    a.li(2, int64_t(y));
+    a.li(3, 0x3000);
+    a.ld(4, 2, 0); // warm y
+    a.compute(600);
+    a.li(4, 1);
+    a.st(1, 0, 4); // cold miss: the fence waits on it
+    a.fence(FenceRole::Critical);
+    a.ld(5, 2, 0); // completes early; y enters the Bypass Set
+    a.st(3, 0, 5);
+    a.halt();
+    sys.loadProgram(0, share(a.finish()));
+    Assembler b("writer");
+    b.li(1, int64_t(y));
+    b.ld(2, 1, 0); // warm y so the store is a fast upgrade
+    b.compute(650);
+    b.li(2, 7);
+    b.st(1, 0, 2);
+    b.halt();
+    sys.loadProgram(1, share(b.finish()));
+
+    // Step a cycle at a time until the directory bounces core 1's
+    // store. run() leaves the clock on the last tick it ran, so that is
+    // the tick the nack arrived at.
+    while (sys.core(1).stats().get("storeNacks") == 0 && sys.now() < 5000)
+        ASSERT_EQ(sys.run(1), System::RunResult::MaxCycles);
+    ASSERT_EQ(sys.core(1).stats().get("storeNacks"), 1u);
+    const Tick nacked_at = sys.now();
+    const Tick backoff = std::min(cfg.retryBackoffBase + cfg.retryBackoffStep,
+                                  cfg.retryBackoffMax);
+
+    std::ostringstream os;
+    sys.dumpWatchdogSnapshot(os);
+    const std::string snap = os.str();
+    EXPECT_EQ(wbLine(snap, 1),
+              "  wb: 1/" + std::to_string(cfg.wbEntries) +
+                  " entries; head seq=1 addr=0x2000 retries=1 nacked "
+                  "nextTryAt=" +
+                  std::to_string(nacked_at + backoff));
+    // The bouncing core's head is its own store, examined and issued.
+    EXPECT_EQ(wbLine(snap, 0), "  wb: 2/" + std::to_string(cfg.wbEntries) +
+                                   " entries; head seq=1 addr=0x1000 "
+                                   "issued retries=0 nextTryAt=0");
 }
 
 TEST(Watchdog, StatsJsonRecordsFiring)
