@@ -13,16 +13,17 @@ WriteBuffer::WriteBuffer(unsigned capacity) : capacity_(capacity)
 {
     if (capacity == 0)
         fatal("write buffer with zero capacity");
+    ring_.resize(capacity);
 }
 
 WriteBuffer::Entry *
 WriteBuffer::nextIssuable(bool tso_order, uint64_t max_seq,
                           uint64_t after_seq)
 {
-    if (entries_.empty())
+    if (size_ == 0)
         return nullptr;
     if (tso_order) {
-        Entry &head = entries_.front();
+        Entry &head = ring_[head_];
         return (!head.issued && !head.done && head.seq <= max_seq &&
                 head.seq > after_seq)
                    ? &head
@@ -30,14 +31,14 @@ WriteBuffer::nextIssuable(bool tso_order, uint64_t max_seq,
     }
     // RC: oldest unissued entry with no older same-line entry still
     // outstanding (same-line merges stay in program order).
-    for (size_t i = 0; i < entries_.size(); i++) {
-        Entry &e = entries_[i];
+    for (unsigned i = 0; i < size_; i++) {
+        Entry &e = at(i);
         if (e.issued || e.done || e.seq > max_seq || e.seq <= after_seq)
             continue;
         bool blocked = false;
-        for (size_t j = 0; j < i; j++) {
-            if (!entries_[j].done &&
-                lineAlign(entries_[j].addr) == lineAlign(e.addr)) {
+        for (unsigned j = 0; j < i; j++) {
+            const Entry &older = at(j);
+            if (!older.done && lineAlign(older.addr) == lineAlign(e.addr)) {
                 blocked = true;
                 break;
             }
@@ -51,47 +52,50 @@ WriteBuffer::nextIssuable(bool tso_order, uint64_t max_seq,
 WriteBuffer::Entry *
 WriteBuffer::issuedEntryForLine(Addr line_addr)
 {
-    for (auto &e : entries_)
+    for (unsigned i = 0; i < size_; i++) {
+        Entry &e = at(i);
         if (e.issued && !e.done && lineAlign(e.addr) == line_addr)
             return &e;
+    }
     return nullptr;
 }
 
 const WriteBuffer::Entry &
 WriteBuffer::front() const
 {
-    if (entries_.empty())
+    if (size_ == 0)
         panic("front() on empty write buffer");
-    return entries_.front();
+    return ring_[head_];
 }
 
 void
 WriteBuffer::popFront()
 {
-    if (entries_.empty())
+    if (size_ == 0)
         panic("popFront() on empty write buffer");
-    unmarkNacked(entries_.front());
-    entries_.pop_front();
+    unmarkNacked(ring_[head_]);
+    dropHead();
 }
 
 bool
 WriteBuffer::drainedUpTo(uint64_t upto) const
 {
-    return entries_.empty() || entries_.front().seq > upto;
+    return size_ == 0 || ring_[head_].seq > upto;
 }
 
 unsigned
 WriteBuffer::dropYoungerThan(uint64_t upto)
 {
     unsigned dropped = 0;
-    while (!entries_.empty() && entries_.back().seq > upto) {
+    while (size_ != 0 && at(size_ - 1).seq > upto) {
+        Entry &youngest = at(size_ - 1);
         // Post-fence stores never issue while the fence is pending, and
         // Core::done() counts on no in-flight store leaving this way.
-        if (entries_.back().issued)
+        if (youngest.issued)
             panic("W+ recovery dropped in-flight store %llu",
-                  (unsigned long long)entries_.back().seq);
-        unmarkNacked(entries_.back());
-        entries_.pop_back();
+                  (unsigned long long)youngest.seq);
+        unmarkNacked(youngest);
+        size_--;
         dropped++;
     }
     totalDropped_ += dropped;
@@ -103,18 +107,15 @@ WriteBuffer::resetCounters()
 {
     totalPushes_ = 0;
     totalDropped_ = 0;
-    highWater_ = unsigned(entries_.size());
+    highWater_ = size_;
 }
 
 std::vector<Addr>
 WriteBuffer::pendingLines(uint64_t upto) const
 {
     std::vector<Addr> lines;
-    for (const auto &e : entries_) {
-        if (e.seq > upto)
-            break;
-        lines.push_back(lineAlign(e.addr));
-    }
+    for (unsigned i = 0; i < size_ && at(i).seq <= upto; i++)
+        lines.push_back(lineAlign(at(i).addr));
     std::sort(lines.begin(), lines.end());
     lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
     return lines;

@@ -5,6 +5,10 @@
  * when every store older than the fence has drained. Store->load
  * forwarding is allowed unless an active fence separates the store from
  * the load in program order.
+ *
+ * The entries live in a ring over a vector sized to the capacity, so the
+ * buffer never allocates after construction and an entry stays at one
+ * address from push until it leaves.
  */
 
 #ifndef ASF_CPU_WRITE_BUFFER_HH
@@ -12,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -53,9 +56,9 @@ class WriteBuffer
 
     explicit WriteBuffer(unsigned capacity);
 
-    bool full() const { return entries_.size() >= capacity_; }
-    bool empty() const { return entries_.empty(); }
-    size_t size() const { return entries_.size(); }
+    bool full() const { return size_ >= capacity_; }
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
     unsigned capacity() const { return capacity_; }
 
     /** Enqueue a retired store; returns its sequence number.
@@ -65,10 +68,11 @@ class WriteBuffer
         if (full())
             panic("write buffer overflow");
         uint64_t seq = nextSeq_++;
-        entries_.push_back(Entry{addr, value, seq});
+        at(size_) = Entry{addr, value, seq};
+        size_++;
         totalPushes_++;
-        if (entries_.size() > highWater_)
-            highWater_ = unsigned(entries_.size());
+        if (size_ > highWater_)
+            highWater_ = size_;
         return seq;
     }
 
@@ -108,8 +112,8 @@ class WriteBuffer
         entry.done = true;
         entry.issued = false;
         unmarkNacked(entry);
-        while (!entries_.empty() && entries_.front().done)
-            entries_.pop_front();
+        while (size_ != 0 && ring_[head_].done)
+            dropHead();
     }
 
     /** A directory bounced the in-flight entry: it is no longer issued
@@ -137,9 +141,9 @@ class WriteBuffer
      */
     const Entry *forwardLookup(Addr addr) const
     {
-        for (auto it = entries_.rbegin(); it != entries_.rend(); ++it)
-            if (it->addr == addr)
-                return &*it;
+        for (unsigned i = size_; i-- > 0;)
+            if (at(i).addr == addr)
+                return &at(i);
         return nullptr;
     }
 
@@ -167,6 +171,23 @@ class WriteBuffer
     void resetCounters();
 
   private:
+    /** The i-th oldest live entry (i == size_ is the next free slot). */
+    Entry &at(unsigned i)
+    {
+        unsigned slot = head_ + i;
+        return ring_[slot >= capacity_ ? slot - capacity_ : slot];
+    }
+    const Entry &at(unsigned i) const
+    {
+        return const_cast<WriteBuffer *>(this)->at(i);
+    }
+
+    void dropHead()
+    {
+        head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+        size_--;
+    }
+
     void unmarkNacked(Entry &entry)
     {
         if (entry.nacked) {
@@ -176,7 +197,11 @@ class WriteBuffer
     }
 
     unsigned capacity_;
-    std::deque<Entry> entries_;
+    /** capacity_ slots; the live entries are the size_ slots from
+     *  head_ on, wrapping at the end, oldest first. */
+    std::vector<Entry> ring_;
+    unsigned head_ = 0;
+    unsigned size_ = 0;
     unsigned nacked_ = 0;
     uint64_t nextSeq_ = 1;
     uint64_t totalPushes_ = 0;

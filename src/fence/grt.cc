@@ -17,14 +17,25 @@ void
 Grt::deposit(NodeId core, const std::vector<Addr> &pending_set,
              uint64_t fence_id)
 {
-    table_[core] = Deposit{pending_set, fence_id};
+    if (size_t(core) >= slots_.size())
+        slots_.resize(size_t(core) + 1);
+    Deposit &d = slots_[size_t(core)];
+    if (!d.live) {
+        d.live = true;
+        numDeposits_++;
+    }
+    d.lines.assign(pending_set.begin(), pending_set.end());
+    d.fenceId = fence_id;
     statDeposits_.inc();
 }
 
 void
 Grt::clear(NodeId core)
 {
-    table_.erase(core);
+    if (hasDeposit(core)) {
+        slots_[size_t(core)].live = false;
+        numDeposits_--;
+    }
     statClears_.inc();
 }
 
@@ -32,10 +43,10 @@ std::vector<Addr>
 Grt::remotePendingSet(NodeId core) const
 {
     std::vector<Addr> out;
-    for (const auto &[owner, d] : table_) {
-        if (owner == core)
-            continue;
-        out.insert(out.end(), d.lines.begin(), d.lines.end());
+    for (size_t owner = 0; owner < slots_.size(); owner++) {
+        const Deposit &d = slots_[owner];
+        if (d.live && NodeId(owner) != core)
+            out.insert(out.end(), d.lines.begin(), d.lines.end());
     }
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -45,11 +56,11 @@ Grt::remotePendingSet(NodeId core) const
 bool
 Grt::blocks(NodeId core, Addr line) const
 {
-    for (const auto &[owner, d] : table_) {
-        if (owner == core)
-            continue;
-        if (std::find(d.lines.begin(), d.lines.end(), line) !=
-            d.lines.end())
+    for (size_t owner = 0; owner < slots_.size(); owner++) {
+        const Deposit &d = slots_[owner];
+        if (d.live && NodeId(owner) != core &&
+            std::find(d.lines.begin(), d.lines.end(), line) !=
+                d.lines.end())
             return true;
     }
     return false;
@@ -58,16 +69,19 @@ Grt::blocks(NodeId core, Addr line) const
 bool
 Grt::hasDeposit(NodeId core) const
 {
-    return table_.count(core) != 0;
+    return size_t(core) < slots_.size() && slots_[size_t(core)].live;
 }
 
 void
 Grt::debugDump(std::ostream &os) const
 {
-    if (table_.empty())
+    if (numDeposits_ == 0)
         return;
     os << "grt" << unsigned(node_) << ":\n";
-    for (const auto &[owner, d] : table_) {
+    for (size_t owner = 0; owner < slots_.size(); owner++) {
+        const Deposit &d = slots_[owner];
+        if (!d.live)
+            continue;
         os << "  core" << unsigned(owner) << " fenceId=" << d.fenceId
            << " ps={";
         for (size_t i = 0; i < d.lines.size(); i++)

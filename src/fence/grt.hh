@@ -15,7 +15,6 @@
 #ifndef ASF_FENCE_GRT_HH
 #define ASF_FENCE_GRT_HH
 
-#include <map>
 #include <ostream>
 #include <vector>
 
@@ -47,7 +46,7 @@ class Grt
     bool blocks(NodeId core, Addr line) const;
 
     bool hasDeposit(NodeId core) const;
-    size_t numDeposits() const { return table_.size(); }
+    size_t numDeposits() const { return numDeposits_; }
 
     /** One-line-per-deposit diagnostic dump (watchdog snapshot). */
     void debugDump(std::ostream &os) const;
@@ -59,10 +58,15 @@ class Grt
     {
         std::vector<Addr> lines;
         uint64_t fenceId = 0;
+        bool live = false;
     };
 
     NodeId node_;
-    std::map<NodeId, Deposit> table_;
+    /** One slot per core, indexed by core id and walked in that order.
+     *  The vector grows to the highest depositing core; a slot keeps
+     *  its line buffer after a clear, so re-deposits reuse it. */
+    std::vector<Deposit> slots_;
+    size_t numDeposits_ = 0;
     StatGroup stats_;
     // Hot-path handles into stats_ (lazily bound; see LazyStatScalar).
     LazyStatScalar statDeposits_;

@@ -17,10 +17,12 @@ FenceProfiler::FenceProfiler(bool keep_raw)
 FenceRecord *
 FenceProfiler::find(uint64_t id)
 {
-    for (auto &r : active_)
-        if (r.id == id)
-            return &r;
-    return nullptr;
+    // Ids are issued in increasing order, onIssue appends and erasing
+    // keeps the order, so active_ is sorted by id.
+    auto it = std::lower_bound(
+        active_.begin(), active_.end(), id,
+        [](const FenceRecord &r, uint64_t key) { return r.id < key; });
+    return it != active_.end() && it->id == id ? &*it : nullptr;
 }
 
 uint64_t
@@ -119,10 +121,8 @@ FenceProfiler::onRecovery(uint64_t id, uint64_t squashed_stores)
 void
 FenceProfiler::onSquashed(uint64_t id)
 {
-    auto it = std::find_if(active_.begin(), active_.end(),
-                           [id](const FenceRecord &r) { return r.id == id; });
-    if (it != active_.end()) {
-        active_.erase(it);
+    if (FenceRecord *r = find(id)) {
+        active_.erase(active_.begin() + (r - active_.data()));
         squashedFences_++;
     }
 }
@@ -130,13 +130,12 @@ FenceProfiler::onSquashed(uint64_t id)
 void
 FenceProfiler::onComplete(uint64_t id, Tick now)
 {
-    auto it = std::find_if(active_.begin(), active_.end(),
-                           [id](const FenceRecord &r) { return r.id == id; });
-    if (it == active_.end())
+    FenceRecord *found = find(id);
+    if (!found)
         return;
-    it->completedAt = now;
-    FenceRecord r = std::move(*it);
-    active_.erase(it);
+    found->completedAt = now;
+    FenceRecord r = std::move(*found);
+    active_.erase(active_.begin() + (found - active_.data()));
     completed_++;
     fold(r);
 }

@@ -115,7 +115,7 @@ class FenceProfiler
     uint64_t recoveries_ = 0;
     uint64_t squashedFences_ = 0;
     uint64_t byKind_[3] = {0, 0, 0};
-    std::vector<FenceRecord> active_; ///< small: few fences per core
+    std::vector<FenceRecord> active_; ///< in id (= issue) order
     std::vector<FenceRecord> slowest_;///< desc by latency, <= topN
     std::vector<FenceRecord> raw_;
     StatHistogram latency_;

@@ -49,4 +49,19 @@ homeNode(Addr addr, unsigned num_nodes)
     return NodeId((addr / homeGranuleBytes) % num_nodes);
 }
 
+unsigned
+cacheSetCount(unsigned size_bytes, unsigned assoc)
+{
+    if (assoc == 0 || size_bytes == 0)
+        fatal("cache with zero capacity or associativity");
+    unsigned num_lines = size_bytes / lineBytes;
+    if (num_lines % assoc != 0)
+        fatal("cache size %u not divisible into %u-way sets", size_bytes,
+              assoc);
+    unsigned num_sets = num_lines / assoc;
+    if (num_sets == 0 || (num_sets & (num_sets - 1)) != 0)
+        fatal("cache set count %u not a power of two", num_sets);
+    return num_sets;
+}
+
 } // namespace asf

@@ -1,7 +1,8 @@
 /**
  * @file
- * Address arithmetic: line alignment, word extraction, and the
- * line-interleaved home-node (NUMA directory) mapping.
+ * Address arithmetic: line alignment, word extraction, the
+ * line-interleaved home-node (NUMA directory) mapping, and cache set
+ * geometry.
  */
 
 #ifndef ASF_MEM_ADDRESS_HH
@@ -42,6 +43,13 @@ constexpr unsigned homeGranuleBytes = 512;
 
 /** Home node (directory slice / L2 bank) of a line. */
 NodeId homeNode(Addr addr, unsigned num_nodes);
+
+/**
+ * Set count of a cache of `size_bytes` with `assoc` ways per set. A
+ * zero size or associativity, a size that does not split into whole
+ * sets, or a set count that is not a power of two is fatal.
+ */
+unsigned cacheSetCount(unsigned size_bytes, unsigned assoc);
 
 } // namespace asf
 

@@ -18,79 +18,16 @@ mesiName(MesiState s)
     return "?";
 }
 
-CacheArray::CacheArray(unsigned size_bytes, unsigned assoc) : assoc_(assoc)
+CacheArray::CacheArray(unsigned size_bytes, unsigned assoc)
+    : assoc_(assoc), numSets_(cacheSetCount(size_bytes, assoc)),
+      lines_(size_t(numSets_) * assoc), tags_(size_t(numSets_) * assoc)
 {
-    if (assoc == 0 || size_bytes == 0)
-        fatal("cache with zero capacity or associativity");
-    unsigned num_lines = size_bytes / lineBytes;
-    if (num_lines % assoc != 0)
-        fatal("cache size %u not divisible into %u-way sets", size_bytes,
-              assoc);
-    numSets_ = num_lines / assoc;
-    if ((numSets_ & (numSets_ - 1)) != 0)
-        fatal("cache set count %u not a power of two", numSets_);
-    lines_.resize(num_lines);
-    tags_.resize(num_lines);
-}
-
-unsigned
-CacheArray::setIndex(Addr line_addr) const
-{
-    return unsigned((line_addr / lineBytes) & (numSets_ - 1));
-}
-
-CacheLine *
-CacheArray::find(Addr line_addr)
-{
-    size_t base = size_t(setIndex(line_addr)) * assoc_;
-    for (size_t i = base; i < base + assoc_; i++) {
-        // An invalid way may keep a stale tag: keep scanning past it.
-        if (tags_[i] == line_addr && lines_[i].valid())
-            return &lines_[i];
-    }
-    return nullptr;
-}
-
-const CacheLine *
-CacheArray::find(Addr line_addr) const
-{
-    return const_cast<CacheArray *>(this)->find(line_addr);
 }
 
 void
-CacheArray::touch(CacheLine &line)
+CacheArray::allExcluded() const
 {
-    line.lruStamp = ++lruClock_;
-}
-
-CacheLine &
-CacheArray::victimFor(Addr line_addr, bool &victim_valid, Addr exclude)
-{
-    return victimFor(line_addr, victim_valid,
-                     [exclude](Addr a) { return a == exclude; });
-}
-
-CacheLine &
-CacheArray::victimFor(Addr line_addr, bool &victim_valid,
-                      const std::function<bool(Addr)> &excluded)
-{
-    unsigned set = setIndex(line_addr);
-    CacheLine *best = nullptr;
-    for (unsigned w = 0; w < assoc_; w++) {
-        CacheLine &l = lines_[size_t(set) * assoc_ + w];
-        if (!l.valid()) {
-            victim_valid = false;
-            return l;
-        }
-        if (excluded(l.addr))
-            continue;
-        if (!best || l.lruStamp < best->lruStamp)
-            best = &l;
-    }
-    if (!best)
-        panic("victimFor: every way excluded (assoc %u)", assoc_);
-    victim_valid = true;
-    return *best;
+    panic("victimFor: every way excluded (assoc %u)", assoc_);
 }
 
 void

@@ -31,39 +31,31 @@ HotLineTracker::HotLineTracker(unsigned capacity)
     heapPos_.reserve(capacity_);
 }
 
-bool
-HotLineTracker::evictsBefore(uint32_t a, uint32_t b) const
-{
-    const Entry &x = entries_[a];
-    const Entry &y = entries_[b];
-    return x.count != y.count ? x.count < y.count : x.line < y.line;
-}
-
 void
-HotLineTracker::place(size_t pos, uint32_t entry)
+HotLineTracker::place(size_t pos, const HeapSlot &slot)
 {
-    heap_[pos] = entry;
-    heapPos_[entry] = uint32_t(pos);
+    heap_[pos] = slot;
+    heapPos_[slot.entry] = uint32_t(pos);
 }
 
 void
 HotLineTracker::siftUp(size_t pos)
 {
-    uint32_t entry = heap_[pos];
+    HeapSlot slot = heap_[pos];
     while (pos > 0) {
         size_t parent = (pos - 1) / 2;
-        if (!evictsBefore(entry, heap_[parent]))
+        if (!evictsBefore(slot, heap_[parent]))
             break;
         place(pos, heap_[parent]);
         pos = parent;
     }
-    place(pos, entry);
+    place(pos, slot);
 }
 
 void
 HotLineTracker::siftDown(size_t pos)
 {
-    uint32_t entry = heap_[pos];
+    HeapSlot slot = heap_[pos];
     for (;;) {
         size_t child = 2 * pos + 1;
         if (child >= heap_.size())
@@ -71,12 +63,12 @@ HotLineTracker::siftDown(size_t pos)
         if (child + 1 < heap_.size() &&
             evictsBefore(heap_[child + 1], heap_[child]))
             child++;
-        if (!evictsBefore(heap_[child], entry))
+        if (!evictsBefore(heap_[child], slot))
             break;
         place(pos, heap_[child]);
         pos = child;
     }
-    place(pos, entry);
+    place(pos, slot);
 }
 
 HotLineTracker::Entry &
@@ -86,6 +78,7 @@ HotLineTracker::touch(Addr line, uint64_t w)
     if (const uint32_t *hit = index_.find(line)) {
         uint32_t i = *hit;
         entries_[i].count += w;
+        heap_[heapPos_[i]].count += w;
         siftDown(heapPos_[i]);
         return entries_[i];
     }
@@ -96,14 +89,14 @@ HotLineTracker::touch(Addr line, uint64_t w)
         Entry &e = entries_.back();
         e.line = line;
         e.count = w;
-        heap_.push_back(i);
+        heap_.push_back(HeapSlot{w, line, i});
         heapPos_.push_back(0);
         siftUp(heap_.size() - 1);
         return e;
     }
     // Space-Saving eviction: replace the minimum-count entry and let
     // the newcomer inherit its count as the overestimation bound.
-    uint32_t i = heap_[0];
+    uint32_t i = heap_[0].entry;
     Entry &e = entries_[i];
     index_.erase(e.line);
     index_[line] = i;
@@ -112,6 +105,8 @@ HotLineTracker::touch(Addr line, uint64_t w)
     e.line = line;
     e.count = inherited + w;
     e.error = inherited;
+    heap_[0].count = e.count;
+    heap_[0].line = line;
     evictions_++;
     siftDown(0);
     return e;

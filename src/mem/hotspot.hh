@@ -95,14 +95,27 @@ class HotLineTracker
     void reset();
 
   private:
+    /** One heap position: an entry's eviction key, kept in step with
+     *  the entry, so sifts never read entries_. */
+    struct HeapSlot
+    {
+        uint64_t count;
+        Addr line;
+        uint32_t entry; ///< index into entries_
+    };
+
     Entry &touch(Addr line, uint64_t w);
 
-    /** Eviction order of two entries: lower count first, then lower
-     *  address, so the victim is deterministic. */
-    bool evictsBefore(uint32_t a, uint32_t b) const;
+    /** Eviction order: lower count first, then lower address. Lines
+     *  are unique, so the victim (the minimum) is too. */
+    static bool
+    evictsBefore(const HeapSlot &a, const HeapSlot &b)
+    {
+        return a.count != b.count ? a.count < b.count : a.line < b.line;
+    }
     void siftUp(size_t pos);
     void siftDown(size_t pos);
-    void place(size_t pos, uint32_t entry);
+    void place(size_t pos, const HeapSlot &slot);
 
     unsigned capacity_;
     uint64_t totalRecorded_ = 0;
@@ -110,10 +123,10 @@ class HotLineTracker
     std::vector<Entry> entries_;
     /** line -> index into entries_. Bounded by capacity_. */
     LineTable<uint32_t> index_;
-    /** Indices into entries_ as a binary min-heap in eviction order:
-     *  heap_[0] is the Space-Saving victim. heapPos_[i] is where entry
-     *  i sits in heap_. */
-    std::vector<uint32_t> heap_;
+    /** The entries as a binary min-heap in eviction order: heap_[0]
+     *  is the Space-Saving victim. heapPos_[i] is where entry i sits
+     *  in heap_. */
+    std::vector<HeapSlot> heap_;
     std::vector<uint32_t> heapPos_;
 };
 

@@ -64,6 +64,7 @@ Mesh::route(const Message &msg, unsigned flits, unsigned bytes,
             unsigned &hops)
 {
     static const char dir_char[numDirs] = {'E', 'W', 'N', 'S'};
+    const bool traced = Trace::get().enabled();
     Tick t = eq_.now();
     XY cur = coords(msg.src);
     XY dst = coords(msg.dst);
@@ -87,7 +88,7 @@ Mesh::route(const Message &msg, unsigned flits, unsigned bytes,
         linkBusy_[idx] += flits;
         linkByteCount_[idx] += bytes;
         linkPackets_[idx]++;
-        if (Trace::get().enabled()) {
+        if (traced) {
             uint32_t tid = 3000 + uint32_t(idx);
             if (!linkNamed_[idx]) {
                 linkNamed_[idx] = true;

@@ -40,12 +40,7 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-Trace &
-Trace::get()
-{
-    static Trace instance;
-    return instance;
-}
+constinit Trace Trace::instance_;
 
 namespace
 {

@@ -29,8 +29,9 @@ namespace asf
 class Trace
 {
   public:
-    /** The process-global sink. */
-    static Trace &get();
+    /** The process-global sink. Inline: ASF_TRACE sites read its
+     *  flag on hot paths. */
+    static Trace &get() { return instance_; }
 
     /** Start recording; the file is written on flush()/exit. */
     void open(const std::string &path);
@@ -69,6 +70,10 @@ class Trace
 
   private:
     Trace() = default;
+
+    /** Constant-initialized (see trace.cc), so it is usable from any
+     *  other static initializer. */
+    static Trace instance_;
 
     struct Event
     {

@@ -58,7 +58,8 @@ TEST(CacheArray, VictimExclusionSkipsPinned)
         c.install(s, Addr(i) * 32, MesiState::Shared, lineOf(i));
     }
     // Line 0 is LRU but pinned: the next-oldest must be chosen.
-    CacheLine &victim = c.victimFor(0x100, valid, /*exclude=*/0);
+    CacheLine &victim =
+        c.victimFor(0x100, valid, [](Addr a) { return a == 0; });
     EXPECT_TRUE(valid);
     EXPECT_EQ(victim.addr, 32u);
 }

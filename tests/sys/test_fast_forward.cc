@@ -7,9 +7,7 @@
  * fence/miss workload (where fast-forward demonstrably engages), a
  * busy spin, randomized fence-disciplined programs, and the runtime's
  * synchronization kernels (Dekker, bakery, TLRW, THE deque), across
- * all five fence designs. The kernel tests keep the DirectExec suite
- * name they had when they compared the since-removed burst interpreter
- * against sleep; they now compare sleep against the reference mode.
+ * all five fence designs.
  */
 
 #include <gtest/gtest.h>
@@ -301,22 +299,22 @@ TEST(FastForward, FuzzProgramsBitIdenticalAcrossDesigns)
     }
 }
 
-TEST(DirectExec, DekkerKernelBitIdenticalAcrossDesigns)
+TEST(FastForward, DekkerKernelBitIdenticalAcrossDesigns)
 {
     expectKernelBitIdenticalAcrossDesigns(dekkerKernel());
 }
 
-TEST(DirectExec, BakeryKernelBitIdenticalAcrossDesigns)
+TEST(FastForward, BakeryKernelBitIdenticalAcrossDesigns)
 {
     expectKernelBitIdenticalAcrossDesigns(bakeryKernel());
 }
 
-TEST(DirectExec, TlrwKernelBitIdenticalAcrossDesigns)
+TEST(FastForward, TlrwKernelBitIdenticalAcrossDesigns)
 {
     expectKernelBitIdenticalAcrossDesigns(tlrwKernel());
 }
 
-TEST(DirectExec, TheDequeKernelBitIdenticalAcrossDesigns)
+TEST(FastForward, TheDequeKernelBitIdenticalAcrossDesigns)
 {
     expectKernelBitIdenticalAcrossDesigns(dequeKernel());
 }
